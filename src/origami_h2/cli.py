@@ -14,7 +14,8 @@ Orbits are cached one JSON file per (n, canonical base key) under
 ``--cache-dir`` (default: ``$ORIGAMI_H2_CACHE``, else ``~/.cache/origami-h2``).
 A ``manifest.json`` maps keys to files with SHA-256 checksums; writes go
 through a temp file + rename so concurrent runs never corrupt the cache, and
-hits are fully re-validated before use.
+hits are re-validated by :func:`orbit_from_json` (canonical surface texts,
+edge closure, cusp structure) before use.
 """
 
 from __future__ import annotations
@@ -219,19 +220,21 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
 def cmd_orbit(args: argparse.Namespace) -> int:
     try:
-        o = build_from_diagram(parse_diagram(args.surface))
+        diag = parse_diagram(args.surface)
     except InvalidSurfaceError as exc:
         print(f"unsupported surface: {exc}", file=sys.stderr)
         return EXIT_BAD_SURFACE
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    # the size bound is checked before anything of size n is built
+    if diag.n > args.max_orbit_n:
+        print(f"n = {diag.n} exceeds --max-orbit-n = {args.max_orbit_n}", file=sys.stderr)
+        return EXIT_USAGE
+    o = build_from_diagram(diag)
     if not in_h2(o) or not is_primitive(o):
         print("surface is not a primitive H(2) origami", file=sys.stderr)
         return EXIT_BAD_SURFACE
-    if o.n > args.max_orbit_n:
-        print(f"n = {o.n} exceeds --max-orbit-n = {args.max_orbit_n}", file=sys.stderr)
-        return EXIT_USAGE
     orb = cached_orbit(o, args.cache)
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -386,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="orbit cache directory (default: $ORIGAMI_H2_CACHE or ~/.cache/origami-h2)")
     parser.add_argument("--max-orbit-n", type=int, default=25, metavar="N",
                         help="largest n for which orbits are computed (default 25)")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker budget; orchestration is single-threaded, so this only validates")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="table output format (counts, badcases)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -419,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     if args.max_orbit_n < 3:
         parser.error("--max-orbit-n must be >= 3")
     args.cache = OrbitCache(Path(args.cache_dir or _default_cache_dir()))

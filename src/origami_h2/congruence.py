@@ -240,16 +240,20 @@ def noncongruence_search(orb: Orbit) -> Optional[NoncongruenceCertificate]:
     """Scan an orbit for a noncongruence certificate of its stabiliser.
 
     Each surface contributes its horizontal cusp width k and the width k′ of
-    its S-image's cusp (its vertical width); the first surface in canonical
-    order whose (k, k′) passes the arithmetic obstruction yields the
-    certificate, after full re-verification.  None means inconclusive — the
-    criterion is one-sided and never proves congruence.
+    its S-image's cusp (its vertical width).  The least pair (k, k′) that
+    passes the arithmetic obstruction yields the certificate, on the least
+    key carrying that pair, after full re-verification.  The reported
+    (k, k′, m, δ) is thus an invariant of the orbit, not of the key bytes.
+    None means inconclusive — the criterion is one-sided and never proves
+    congruence.
     """
     d = orb.index
     ell = level(orb)
-    for key in orb.surfaces:  # already sorted: deterministic scan order
-        k = orb.cusp_width(key)
-        k_prime = orb.cusp_width(orb.s_edge[key])
+    carrier = {}
+    for key in orb.surfaces:  # sorted, so each pair keeps its least key
+        pair = (orb.cusp_width(key), orb.cusp_width(orb.s_edge[key]))
+        carrier.setdefault(pair, key)
+    for (k, k_prime), key in sorted(carrier.items()):
         witness = index_obstruction_check(d, ell, k, k_prime)
         if witness is not None:
             cert = NoncongruenceCertificate(

@@ -444,98 +444,61 @@ def _quarter_turn(o: Origami) -> Origami:
 def canonical_key(o: Origami) -> bytes:
     """Relabelling-invariant encoding of the origami.
 
-    For each choice of base square, squares are relabelled in breadth-first
-    order over the alphabet (right, up, right⁻¹, up⁻¹); the key is the least
-    of the n encodings.  Two origamis get equal keys iff they differ by a
-    simultaneous relabelling.  The key is self-describing: it decodes back to
-    the canonical representative via :func:`origami_from_key`.
+    The start squares are the squares the commutator moves: the three around
+    the cone point in H(2), or every square when the commutator is trivial.
+    Any relabelling maps this set onto the start set of the relabelled
+    surface.  From each start, squares are relabelled in breadth-first order
+    over (right, up), which reaches every square because both are
+    permutations of a transitive pair; the key is the least of these
+    encodings.  So two origamis get equal keys iff they differ by a
+    simultaneous relabelling, and a key costs O(n).  The key is
+    self-describing: ``pack(">H", n)`` followed by the relabelled
+    (right, up) images, as bytes for n ≤ 255 and as ``>H`` words above; it
+    decodes back to the canonical representative via
+    :func:`origami_from_key`.
     """
     n, r, u = o.n, o.right, o.up
-    ri, ui = _inverse(r), _inverse(u)
-    if n > 0xFF:
-        return pack(">H", n) + _wide_key(n, r, u, ri, ui)
+    # c = r∘u∘r⁻¹∘u⁻¹ sends u(r(y)) to r(u(y)), so it moves u(r(y)) iff the
+    # corner at the top right of y does not close up
+    starts = [u[r[y]] for y in range(n) if u[r[y]] != r[u[y]]] or range(n)
     best = None
-    for s0 in range(n):
+    for s0 in starts:
         # BFS and encoding fused: the pair for x is final once x is processed,
-        # so a candidate can be abandoned at its first byte above `best`.
+        # so a candidate can be abandoned at its first label above `best`.
         lab = [-1] * n
-        order = [s0] + [0] * (n - 1)
         lab[s0] = 0
-        cnt = 1
-        flat = bytearray(2 * n)
+        order = [s0]
+        flat = []
         comparing = best is not None
-        worse = False
-        qi = 0
-        while qi < cnt:
-            x = order[qi]
+        for x in order:
             y = r[x]
-            if lab[y] < 0:
-                lab[y] = cnt
-                order[cnt] = y
-                cnt += 1
             b0 = lab[y]
+            if b0 < 0:
+                b0 = lab[y] = len(order)
+                order.append(y)
             y = u[x]
-            if lab[y] < 0:
-                lab[y] = cnt
-                order[cnt] = y
-                cnt += 1
             b1 = lab[y]
-            y = ri[x]
-            if lab[y] < 0:
-                lab[y] = cnt
-                order[cnt] = y
-                cnt += 1
-            y = ui[x]
-            if lab[y] < 0:
-                lab[y] = cnt
-                order[cnt] = y
-                cnt += 1
-            i2 = 2 * qi
+            if b1 < 0:
+                b1 = lab[y] = len(order)
+                order.append(y)
             if comparing:
-                p = best[i2]
+                p = best[len(flat)]
                 if b0 != p:
                     if b0 > p:
-                        worse = True
                         break
                     comparing = False
                 else:
-                    p = best[i2 + 1]
+                    p = best[len(flat) + 1]
                     if b1 != p:
                         if b1 > p:
-                            worse = True
                             break
                         comparing = False
-            flat[i2] = b0
-            flat[i2 + 1] = b1
-            qi += 1
-        if not worse and not comparing:
-            best = bytes(flat)
-    return pack(">H", n) + best
-
-
-def _wide_key(n: int, r, u, ri, ui) -> bytes:
-    """Key payload for n > 255 (16-bit labels; sizes never hit hot paths)."""
-    best = None
-    for s0 in range(n):
-        lab = [-1] * n
-        order = [s0]
-        lab[s0] = 0
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
-            for g in (r, u, ri, ui):
-                y = g[x]
-                if lab[y] < 0:
-                    lab[y] = len(order)
-                    order.append(y)
-        flat = [0] * (2 * n)
-        flat[0::2] = [lab[r[x]] for x in order]
-        flat[1::2] = [lab[u[x]] for x in order]
-        enc = pack(f">{2 * n}H", *flat)
-        if best is None or enc < best:
-            best = enc
-    return best
+            flat.append(b0)
+            flat.append(b1)
+        else:  # never abandoned: flat ≤ best
+            best = flat
+    body = bytes(best) if n <= 0xFF else pack(f">{2 * n}H", *best)
+    return pack(">H", n) + body
 
 
 def canonical_form(o: Origami) -> Origami:
@@ -650,7 +613,8 @@ def integer_weierstrass_count(o: Origami) -> int:
     if len(points) != 6:
         raise MalformedSurfaceError("expected six involution fixed points")
     count = sum(1 for (dx, dy) in points if dx % 2 == 0 and dy % 2 == 0)
-    assert count in (1, 3)
+    if count not in (1, 3):
+        raise MalformedSurfaceError(f"{count} integer Weierstrass points; expected 1 or 3")
     return count
 
 

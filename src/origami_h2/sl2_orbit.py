@@ -32,7 +32,7 @@ from .origami_core import (
     origami_from_key,
 )
 
-ORBIT_SCHEMA_VERSION = 1
+ORBIT_SCHEMA_VERSION = 2
 
 
 class MatrixZ(NamedTuple):
@@ -302,16 +302,22 @@ def orbit_from_json(text: str) -> Orbit:
     doc = json.loads(text)
     if doc.get("schema_version") != ORBIT_SCHEMA_VERSION:
         raise ValueError(f"unsupported orbit schema: {doc.get('schema_version')!r}")
-    surfaces = [key_from_text(t) for t in doc["surfaces"]]
+    # each surface text is checked to be canonical once; edge texts must be
+    # verbatim copies of surface texts, so they resolve by lookup
+    key_of = {t: key_from_text(t) for t in doc["surfaces"]}
+    if len(key_of) != len(doc["surfaces"]):
+        raise ValueError("duplicate surfaces")
+    surfaces = list(key_of.values())
     if len(surfaces) != len(doc["t_edges"]) or len(surfaces) != len(doc["s_edges"]):
         raise ValueError("edge arrays do not match the surface list")
-    t_edge = {k: key_from_text(t) for k, t in zip(surfaces, doc["t_edges"])}
-    s_edge = {k: key_from_text(t) for k, t in zip(surfaces, doc["s_edges"])}
-    keyset = set(surfaces)
-    for name, edges in (("t", t_edge), ("s", s_edge)):
-        if not set(edges.values()) <= keyset:
+
+    def resolve(name: str) -> dict:
+        texts = doc[f"{name}_edges"]
+        if not set(texts) <= key_of.keys():
             raise ValueError(f"{name}-edges leave the stored surface list")
-    orb = _assemble_orbit(int(doc["n"]), key_from_text(doc["base_key"]), t_edge, s_edge)
+        return {k: key_of[t] for k, t in zip(surfaces, texts)}
+
+    orb = _assemble_orbit(int(doc["n"]), key_from_text(doc["base_key"]), resolve("t"), resolve("s"))
     stored = [(c["rep"], c["width"]) for c in doc["cusps"]]
     if stored != [(key_to_text(c.representative), c.width) for c in orb.cusps]:
         raise ValueError("stored cusps disagree with the edge structure")

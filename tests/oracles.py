@@ -1,17 +1,50 @@
 """Independent oracles the tests check the library against.
 
 Each oracle recomputes a quantity by a route disjoint from the production
-code: brute force over permutation pairs, spanning-tree holonomy with
-explicit sublattice enumeration, and the hyperelliptic involution found by
-constraint propagation.  Slow is fine here; different is the point.
+code: the canonical key started from every square, brute force over
+permutation pairs, spanning-tree holonomy with explicit sublattice
+enumeration, and the hyperelliptic involution found by constraint
+propagation.  Slow is fine here; different is the point.
 """
 
 from itertools import permutations
 from math import factorial, prod
+from struct import pack
 
 import numpy as np
 
 from origami_h2.origami_core import Origami, canonical_key, in_h2, is_primitive
+
+
+# ---------------------------------------------------------------------------
+# the all-starts canonical key
+#
+# The library's key starts its breadth-first relabelling only at the squares
+# the commutator moves.  This reference starts it at every square, walks the
+# alphabet (right, up, right^-1, up^-1), and keeps the least encoding, so it
+# shares no start set, walk or early exit with the library.  Its bytes differ
+# from the library's; only the partition into equal keys must agree.
+
+
+def all_starts_key(o: Origami) -> bytes:
+    n, r, u = o.n, o.right, o.up
+    ri, ui = [0] * n, [0] * n
+    for x in range(n):
+        ri[r[x]] = x
+        ui[u[x]] = x
+    best = None
+    for s0 in range(n):
+        lab = {s0: 0}
+        order = [s0]
+        for x in order:
+            for y in (r[x], u[x], ri[x], ui[x]):
+                if y not in lab:
+                    lab[y] = len(order)
+                    order.append(y)
+        flat = [lab[g[x]] for x in order for g in (r, u)]
+        if best is None or flat < best:
+            best = flat
+    return pack(f">H{2 * n}H", n, *best)
 
 
 # ---------------------------------------------------------------------------

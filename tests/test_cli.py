@@ -106,6 +106,17 @@ class TestOrbit:
         assert rc == 2
         assert "exceeds" in err
 
+    def test_orbit_bound_checked_before_building(self, capsys, tmp_path, monkeypatch):
+        def refuse(diag):
+            raise AssertionError(f"built {diag} despite the size bound")
+
+        monkeypatch.setattr(cli, "build_from_diagram", refuse)
+        rc, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "orbit", "2cyl(1,1,1,300000,0,0)"
+        )
+        assert rc == 2
+        assert out == "" and "n = 300001 exceeds --max-orbit-n = 25" in err
+
 
 class TestNoncong:
     def test_certificate_c4(self, capsys, tmp_path):
@@ -230,17 +241,6 @@ class TestCache:
 
 
 class TestGlobalFlags:
-    def test_threads_must_be_positive(self, tmp_path):
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(["--cache-dir", str(tmp_path), "--threads", "0", "counts", "3", "3"])
-        assert exc_info.value.code == 2
-
-    def test_threads_accepted(self, capsys, tmp_path):
-        rc, out, _ = run(
-            capsys, "--cache-dir", str(tmp_path), "--threads", "4", "counts", "3", "3"
-        )
-        assert rc == 0 and "3,3,3" in out
-
     def test_max_orbit_n_floor(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["--cache-dir", str(tmp_path), "--max-orbit-n", "2", "badcases"])

@@ -1,6 +1,7 @@
 """Arithmetic layer: factorizations, index formulas, and the obstruction test."""
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -175,6 +176,20 @@ class TestObstruction:
                 assert got.delta % d != 0
 
 
+def _divisors(a):
+    small = [q for q in range(1, isqrt(a) + 1) if a % q == 0]
+    return small + [a // q for q in small]
+
+
+def _sl2_order(modulus):
+    """|SL(2, Z/N)| = N^3 prod_{p | N} (1 - 1/p^2), primes found by trial division."""
+    out = Fraction(modulus**3)
+    for p in range(2, modulus + 1):
+        if modulus % p == 0 and all(p % q for q in range(2, isqrt(p) + 1)):
+            out *= 1 - Fraction(1, p * p)
+    return int(out)
+
+
 class TestCertificates:
     def test_search_c4(self, named_orbit):
         cert = noncongruence_search(named_orbit("C", 4))
@@ -194,6 +209,35 @@ class TestCertificates:
         assert cert.m == 126
         assert cert.delta == 120
         verify_certificate(cert)
+
+    def test_search_c10(self, named_orbit):
+        cert = noncongruence_search(named_orbit("C", 10))
+        assert (cert.k, cert.k_prime, cert.m, cert.delta) == (1, 10, 63, 46080)
+        assert (cert.d, cert.level) == (216, 2520)
+
+    @pytest.mark.parametrize(
+        "label,n",
+        [("A", 3)] + [(lab, n) for n in range(4, 14) for lab in (("C",) if n % 2 == 0 else ("A", "B"))],
+    )
+    def test_search_reports_least_certifying_pair(self, named_orbit, label, n):
+        # brute force over the orbit's (width, S-width) pairs, with the
+        # obstruction re-derived from divisor lists and N^3 prod(1 - 1/p^2)
+        orb = named_orbit(label, n)
+        d = len(orb.surfaces)
+        width = {key: orb.cusp_width(key) for key in orb.surfaces}
+        ell = lcm(*width.values())
+        carriers = {}
+        for key in orb.surfaces:
+            carriers.setdefault((width[key], width[orb.s_edge[key]]), []).append(key)
+        want = None
+        for k, k_prime in sorted(carriers):
+            m = max(q for q in _divisors(ell) if gcd(q, k * k_prime) == 1)
+            delta = _sl2_order(ell // m)
+            if delta % d:
+                want = (min(carriers[k, k_prime]), k, k_prime, d, ell, m, delta)
+                break
+        cert = noncongruence_search(orb)
+        assert (None if cert is None else tuple(cert)) == want
 
     def test_search_inconclusive_n3(self, named_orbit):
         assert noncongruence_search(named_orbit("A", 3)) is None

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_starts_key
+from origami_h2 import origami_core
 from origami_h2.origami_core import (
     InvalidSurfaceError,
+    MalformedSurfaceError,
     OneCylinder,
     Origami,
     TwoCylinder,
@@ -47,6 +50,18 @@ def all_two_cylinder_tuples(n):
                     for t1 in range(w1):
                         for t2 in range(w2):
                             yield (h1, h2, w1, w2, t1, t2)
+
+
+def all_h2_surfaces(n):
+    """Every H(2) surface on n squares, primitive or not, once per cylinder tuple."""
+    for t in all_two_cylinder_tuples(n):
+        yield build_two_cylinder(*t)
+    for w in range(3, n + 1):
+        if n % w == 0:
+            for l1 in range(1, w - 1):
+                for l2 in range(1, w - l1):
+                    for t in range(w):
+                        yield build_one_cylinder(l1, l2, w - l1 - l2, t, n // w)
 
 
 class TestBuilders:
@@ -189,6 +204,64 @@ class TestCanonicalKey:
         keys = {canonical_key(build_l_shape(a, b)) for a in (2, 3, 4) for b in (2, 3, 4)}
         assert len(keys) == 9
 
+    def test_classes_match_all_starts_oracle(self):
+        # equal keys <=> equal oracle keys, over every H(2) surface at n <= 12
+        # and a random relabelling of each
+        rng = random.Random(12)
+        for n in range(3, 13):
+            pairs = set()
+            for o in all_h2_surfaces(n):
+                g = list(range(n))
+                rng.shuffle(g)
+                for surf in (o, relabel(o, g)):
+                    pairs.add((canonical_key(surf), all_starts_key(surf)))
+            keys = {k for k, _ in pairs}
+            oracle_keys = {q for _, q in pairs}
+            assert len(keys) == len(pairs) == len(oracle_keys), n
+
+    def test_starts_fall_back_to_every_square_on_a_torus(self):
+        # trivial commutator: a 2x3 torus, where every square is a start
+        torus = Origami([1, 2, 0, 4, 5, 3], [3, 4, 5, 0, 1, 2])
+        assert commutator(torus) == tuple(range(6))
+        g = [4, 0, 5, 2, 1, 3]
+        assert canonical_key(relabel(torus, g)) == canonical_key(torus)
+        assert canonical_key(origami_from_key(canonical_key(torus))) == canonical_key(torus)
+
+
+class TestWideKey:
+    """n > 255 switches the labels from bytes to big-endian 16-bit words."""
+
+    @pytest.fixture(scope="class")
+    def surface(self):
+        return build_l_shape(3, 300)
+
+    def test_format(self, surface):
+        key = canonical_key(surface)
+        assert surface.n == 302
+        assert key[:2] == (302).to_bytes(2, "big") and len(key) == 2 + 4 * 302
+        assert canonical_key(origami_from_key(key)) == key
+
+    def test_relabelling_invariance(self, surface):
+        rng = random.Random(300)
+        key = canonical_key(surface)
+        for _ in range(3):
+            g = list(range(surface.n))
+            rng.shuffle(g)
+            assert canonical_key(relabel(surface, g)) == key
+
+    def test_text_round_trip(self, surface):
+        key = canonical_key(surface)
+        assert key_from_text(key_to_text(key)) == key
+
+    def test_agrees_with_oracle(self, surface):
+        g = list(range(surface.n))[::-1]
+        others = (relabel(surface, g), build_two_cylinder(2, 1, 1, 300, 0, 1))
+        key, oracle = canonical_key(surface), all_starts_key(surface)
+        for other in others:
+            assert (canonical_key(other) == key) == (all_starts_key(other) == oracle)
+        assert canonical_key(others[0]) == key
+        assert canonical_key(others[1]) != key
+
 
 class TestPrimitivity:
     def test_l_shapes_are_primitive(self):
@@ -232,6 +305,13 @@ class TestWeierstrassCount:
     def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
             integer_weierstrass_count(build_one_cylinder(2, 2, 2, 0, 1))
+
+    def test_impossible_count_raises(self, monkeypatch):
+        # six lattice points would contradict the 1-or-3 theorem; the check
+        # is a raise, not an assert, so it also holds under python -O
+        monkeypatch.setattr(origami_core, "_weierstrass_points_doubled", lambda diag: [(0, 0)] * 6)
+        with pytest.raises(MalformedSurfaceError, match="6 integer Weierstrass points"):
+            integer_weierstrass_count(build_l_shape(3, 3))
 
 
 class TestSerialization:

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from origami_h2.origami_core import (
     OneCylinder,
@@ -11,10 +13,13 @@ from origami_h2.origami_core import (
     canonical_key,
     cylinder_decomposition,
     integer_weierstrass_count,
+    is_primitive,
     origami_from_key,
+    relabel,
 )
 from origami_h2.sl2_orbit import (
     IDENTITY,
+    ORBIT_SCHEMA_VERSION,
     S,
     T,
     V,
@@ -65,6 +70,46 @@ class TestShears:
             for key in enum_keys(n):
                 o = origami_from_key(key)
                 assert integer_weierstrass_count(apply_T(o)) == integer_weierstrass_count(o)
+
+
+@st.composite
+def primitive_surfaces(draw, max_n=40):
+    """A primitive H(2) surface on at most max_n squares, randomly relabelled."""
+    if draw(st.booleans()):
+        w2 = draw(st.integers(2, max_n - 1))
+        w1 = draw(st.integers(1, min(w2 - 1, max_n - w2)))
+        h2 = draw(st.integers(1, (max_n - w1) // w2))
+        h1 = draw(st.integers(1, (max_n - h2 * w2) // w1))
+        t1 = draw(st.integers(0, w1 - 1))
+        t2 = draw(st.integers(0, w2 - 1))
+        o = build_two_cylinder(h1, h2, w1, w2, t1, t2)
+    else:
+        l1 = draw(st.integers(1, max_n - 2))
+        l2 = draw(st.integers(1, max_n - 1 - l1))
+        l3 = draw(st.integers(1, max_n - l1 - l2))
+        o = build_one_cylinder(l1, l2, l3, draw(st.integers(0, l1 + l2 + l3 - 1)), 1)
+    assume(is_primitive(o))
+    return relabel(o, draw(st.permutations(list(range(o.n)))))
+
+
+class TestGroupRelationsOnKeys:
+    """SL(2,Z) relations hold on canonical keys of primitive surfaces, n <= 40."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_surfaces())
+    def test_s_has_order_four(self, o):
+        image = o
+        for _ in range(4):
+            image = apply_S(image)
+        assert canonical_key(image) == canonical_key(o)
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_surfaces())
+    def test_st_cubed_is_s_squared(self, o):
+        image = o
+        for _ in range(3):
+            image = apply_S(apply_T(image))
+        assert canonical_key(image) == canonical_key(apply_S(apply_S(o)))
 
 
 class TestCuspWidths:
@@ -203,6 +248,33 @@ class TestOrbitJson:
         doc = json.loads(orbit_to_json(named_orbit("A", 3)))
         doc["schema_version"] = 99
         with pytest.raises(ValueError):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_previous_schema(self, named_orbit):
+        assert ORBIT_SCHEMA_VERSION == 2
+        doc = json.loads(orbit_to_json(named_orbit("A", 3)))
+        doc["schema_version"] = 1
+        with pytest.raises(ValueError, match="unsupported orbit schema"):
+            orbit_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["t_edges", "s_edges"])
+    def test_rejects_one_tampered_edge_text(self, named_orbit, field):
+        # a relabelled, non-canonical text of the same surface: it names the
+        # right surface, but is not one of the stored surface texts
+        orb = named_orbit("B", 5)
+        doc = json.loads(orbit_to_json(orb))
+        edges = orb.t_edge if field == "t_edges" else orb.s_edge
+        p = relabel(origami_from_key(edges[orb.surfaces[3]]), [4, 3, 2, 1, 0])
+        relabelled = ",".join(map(str, p.right)) + "|" + ",".join(map(str, p.up))
+        assert relabelled not in doc["surfaces"]
+        doc[field][3] = relabelled
+        with pytest.raises(ValueError, match="edges leave the stored surface list"):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_duplicate_surface(self, named_orbit):
+        doc = json.loads(orbit_to_json(named_orbit("A", 3)))
+        doc["surfaces"][1] = doc["surfaces"][0]
+        with pytest.raises(ValueError, match="duplicate surfaces"):
             orbit_from_json(json.dumps(doc))
 
     def test_rejects_tampered_edges(self, named_orbit):
