@@ -15,7 +15,9 @@ Orbits are cached one JSON file per (n, canonical base key) under
 A ``manifest.json`` maps keys to files with SHA-256 checksums; writes go
 through a temp file + rename so concurrent runs never corrupt the cache, and
 hits are re-validated by :func:`orbit_from_json` (canonical surface texts,
-edge closure, cusp structure) before use.
+edge closure, cusp structure) before use; a file that fails is recomputed.
+The manifest indexes each file by the queried surface and by the orbit
+minimum only, so a query for another member of a cached orbit recomputes it.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class OrbitCache:
             return None
         try:
             orb = orbit_from_json(data.decode())
-        except (ValueError, KeyError):
+        except ValueError:
             return None
         if lookup_key not in orb.surfaces:
             return None

@@ -506,27 +506,37 @@ def canonical_form(o: Origami) -> Origami:
     return origami_from_key(canonical_key(o))
 
 
-def origami_from_key(key: bytes) -> Origami:
-    """Rebuild the canonical representative encoded by a canonical key."""
+def _key_images(key: bytes) -> tuple:
+    """The (right, up) images stored in a canonical key, unvalidated."""
+    if len(key) < 2:
+        raise ValueError("corrupt canonical key")
     (n,) = unpack(">H", key[:2])
     body = key[2:]
-    flat = list(body) if n <= 0xFF else list(unpack(f">{2 * n}H", body))
-    if len(flat) != 2 * n:
+    if len(body) != (2 * n if n <= 0xFF else 4 * n):
         raise ValueError("corrupt canonical key")
-    return Origami(flat[0::2], flat[1::2])
+    flat = body if n <= 0xFF else unpack(f">{2 * n}H", body)
+    return flat[0::2], flat[1::2]
+
+
+def origami_from_key(key: bytes) -> Origami:
+    """Rebuild the canonical representative encoded by a canonical key."""
+    return Origami(*_key_images(key))
 
 
 def key_to_text(key: bytes) -> str:
     """Printable form of a canonical key: right images, '|', up images."""
-    o = origami_from_key(key)
-    return ",".join(map(str, o.right)) + "|" + ",".join(map(str, o.up))
+    right, up = _key_images(key)
+    return ",".join(map(str, right)) + "|" + ",".join(map(str, up))
+
 
 def key_from_text(text: str) -> bytes:
+    """The key of a text that must be the canonical form of a valid surface."""
     rpart, upart = text.split("|")
     right = [int(v) for v in rpart.split(",")]
     up = [int(v) for v in upart.split(",")]
-    o = Origami(right, up)
-    key = canonical_key(o)
+    if len(right) > 0xFFFF:
+        raise ValueError("a canonical key holds at most 65535 squares")
+    key = canonical_key(Origami(right, up))
     if key_to_text(key) != text:
         raise ValueError("text does not encode a canonical representative")
     return key
@@ -543,7 +553,10 @@ def holonomy_lattice(o: Origami) -> HolonomyLattice:
     crossing vector (t_i, h_i) per cylinder; column-reduced to an
     upper-triangular basis.
     """
-    diag = cylinder_decomposition(o)
+    return _diagram_lattice(cylinder_decomposition(o))
+
+
+def _diagram_lattice(diag: CylinderDiagram) -> HolonomyLattice:
     if isinstance(diag, OneCylinder):
         g = gcd(diag.l1, gcd(diag.l2, diag.l3))
         gens = [(g, 0), (diag.t, diag.h)]
@@ -606,9 +619,9 @@ def integer_weierstrass_count(o: Origami) -> int:
     """
     if o.n % 2 == 0:
         raise ValueError("invariant is defined for odd square counts only")
-    if not is_primitive(o):
-        raise ValueError("invariant requires a primitive surface")
     diag = cylinder_decomposition(o)
+    if _diagram_lattice(diag).determinant != 1:
+        raise ValueError("invariant requires a primitive surface")
     points = _weierstrass_points_doubled(diag)
     if len(points) != 6:
         raise MalformedSurfaceError("expected six involution fixed points")

@@ -25,14 +25,14 @@ from typing import NamedTuple
 from .origami_core import (
     Origami,
     _inverse,
+    _key_images,
     canonical_key,
     is_primitive,
     key_from_text,
     key_to_text,
-    origami_from_key,
 )
 
-ORBIT_SCHEMA_VERSION = 2
+ORBIT_SCHEMA_VERSION = 3
 
 
 class MatrixZ(NamedTuple):
@@ -264,7 +264,7 @@ def validate_orbit(orb: Orbit) -> None:
     keyset = set(orb.surfaces)
     if len(orb.surfaces) != len(keyset):
         raise ValueError("duplicate surfaces")
-    if orb.base_key != orb.surfaces[0]:
+    if orb.surfaces[:1] != (orb.base_key,):
         raise ValueError("base key is not the orbit's canonical representative")
     for name, edges in (("t", orb.t_edge), ("s", orb.s_edge)):
         if set(edges) != keyset or set(edges.values()) != keyset:
@@ -277,49 +277,86 @@ def validate_orbit(orb: Orbit) -> None:
             cur = orb.t_edge[cur]
         if cur != cusp.representative:
             raise ValueError("cusp width does not match its T-cycle")
-    if origami_from_key(orb.base_key).n != orb.n:
+    if len(_key_images(orb.base_key)[0]) != orb.n:
         raise ValueError("stored n disagrees with the keys")
 
 
 def orbit_to_json(orb: Orbit) -> str:
-    """Deterministic JSON form (stable ordering, no whitespace)."""
+    """Deterministic JSON form (stable ordering, no whitespace).
+
+    ``surfaces`` lists each surface's canonical text once, in key order;
+    ``t_edges``, ``s_edges`` and each cusp's ``rep`` are positions in it.
+    """
+    position = {k: i for i, k in enumerate(orb.surfaces)}
     doc = {
         "schema_version": ORBIT_SCHEMA_VERSION,
         "n": orb.n,
         "base_key": key_to_text(orb.base_key),
         "surfaces": [key_to_text(k) for k in orb.surfaces],
-        "t_edges": [key_to_text(orb.t_edge[k]) for k in orb.surfaces],
-        "s_edges": [key_to_text(orb.s_edge[k]) for k in orb.surfaces],
+        "t_edges": [position[orb.t_edge[k]] for k in orb.surfaces],
+        "s_edges": [position[orb.s_edge[k]] for k in orb.surfaces],
         "cusps": [
-            {"rep": key_to_text(c.representative), "width": c.width} for c in orb.cusps
+            {"rep": position[c.representative], "width": c.width} for c in orb.cusps
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _field(doc: dict, name: str, kind: type):
+    value = doc.get(name)
+    if type(value) is not kind:
+        raise ValueError(f"orbit field {name!r} is not a {kind.__name__}")
+    return value
+
+
+def _index(value, size: int) -> int:
+    # bool is an int subclass, so the type is compared exactly
+    if type(value) is not int or not 0 <= value < size:
+        raise ValueError(f"{value!r} is not an index into the surface list")
+    return value
+
+
 def orbit_from_json(text: str) -> Orbit:
-    """Parse and fully re-validate an orbit document."""
-    doc = json.loads(text)
+    """Parse and fully re-validate an orbit document.
+
+    Every surface text is checked once to be the canonical form of a valid
+    surface; edges and cusp representatives must be plain in-range indices.
+    Any malformed document raises ValueError.
+    """
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("orbit document nests too deeply") from exc
+    if type(doc) is not dict:
+        raise ValueError("orbit document is not a JSON object")
     if doc.get("schema_version") != ORBIT_SCHEMA_VERSION:
         raise ValueError(f"unsupported orbit schema: {doc.get('schema_version')!r}")
-    # each surface text is checked to be canonical once; edge texts must be
-    # verbatim copies of surface texts, so they resolve by lookup
-    key_of = {t: key_from_text(t) for t in doc["surfaces"]}
-    if len(key_of) != len(doc["surfaces"]):
+    texts = _field(doc, "surfaces", list)
+    if not all(type(t) is str for t in texts):
+        raise ValueError("surface texts must be strings")
+    surfaces = [key_from_text(t) for t in texts]
+    size = len(surfaces)
+    if len(set(surfaces)) != size:
         raise ValueError("duplicate surfaces")
-    surfaces = list(key_of.values())
-    if len(surfaces) != len(doc["t_edges"]) or len(surfaces) != len(doc["s_edges"]):
-        raise ValueError("edge arrays do not match the surface list")
 
     def resolve(name: str) -> dict:
-        texts = doc[f"{name}_edges"]
-        if not set(texts) <= key_of.keys():
-            raise ValueError(f"{name}-edges leave the stored surface list")
-        return {k: key_of[t] for k, t in zip(surfaces, texts)}
+        targets = [_index(i, size) for i in _field(doc, f"{name}_edges", list)]
+        if len(targets) != size:
+            raise ValueError("edge arrays do not match the surface list")
+        # checked before assembly, which walks T-cycles and needs a bijection
+        if len(set(targets)) != size:
+            raise ValueError(f"{name}-edges are not a permutation of the orbit")
+        return {k: surfaces[i] for k, i in zip(surfaces, targets)}
 
-    orb = _assemble_orbit(int(doc["n"]), key_from_text(doc["base_key"]), resolve("t"), resolve("s"))
-    stored = [(c["rep"], c["width"]) for c in doc["cusps"]]
-    if stored != [(key_to_text(c.representative), c.width) for c in orb.cusps]:
+    t_edge, s_edge = resolve("t"), resolve("s")
+    base_key = key_from_text(_field(doc, "base_key", str))
+    orb = _assemble_orbit(_field(doc, "n", int), base_key, t_edge, s_edge)
+    stored = []
+    for cusp in _field(doc, "cusps", list):
+        if type(cusp) is not dict or type(cusp.get("width")) is not int:
+            raise ValueError("malformed cusp entry")
+        stored.append(CuspData(surfaces[_index(cusp.get("rep"), size)], cusp["width"]))
+    if stored != list(orb.cusps):
         raise ValueError("stored cusps disagree with the edge structure")
     validate_orbit(orb)
     return orb

@@ -1,4 +1,5 @@
 import functools
+import json
 
 import pytest
 
@@ -22,3 +23,24 @@ def named_orbit():
         return orbit(seed_surface(label, n))
 
     return compute
+
+
+@pytest.fixture(scope="session")
+def as_schema_2():
+    """Rewrite a schema-3 orbit document in the schema-2 layout.
+
+    Schema 2 spelled every edge target and cusp representative out as a
+    surface text where schema 3 stores its position in ``surfaces``.
+    """
+
+    def convert(text: str) -> str:
+        doc = json.loads(text)
+        texts = doc["surfaces"]
+        doc["schema_version"] = 2
+        doc["t_edges"] = [texts[i] for i in doc["t_edges"]]
+        doc["s_edges"] = [texts[i] for i in doc["s_edges"]]
+        for cusp in doc["cusps"]:
+            cusp["rep"] = texts[cusp["rep"]]
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    return convert

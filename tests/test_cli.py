@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes, and the orbit cache."""
 
+import hashlib
 import json
 import os
 import re
@@ -232,6 +233,39 @@ class TestCache:
         # the recompute healed the cache in place
         data = (tmp_path / name).read_bytes()
         assert b'"t_edges"' in data
+
+    def rewrite_checksummed(self, cache_dir, name, data: bytes) -> None:
+        """Replace an orbit file and re-sign it, so only its content is wrong."""
+        (cache_dir / name).write_bytes(data)
+        path = cache_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["entries"].values():
+            entry["checksum"] = hashlib.sha256(data).hexdigest()
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"[]", b'{"schema_version": 3, "cusps": 5}', b'{"schema_version": 3, "surfaces": null}'],
+        ids=["list", "cusps-number", "surfaces-null"],
+    )
+    def test_checksummed_malformed_file_is_recomputed(self, capsys, tmp_path, data):
+        _, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
+        name = self.orbit_files(tmp_path).pop()
+        payload = (tmp_path / name).read_bytes()
+        self.rewrite_checksummed(tmp_path, name, data)
+        rc, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
+        assert rc == 0 and out2 == out1
+        assert (tmp_path / name).read_bytes() == payload
+
+    def test_schema_2_file_is_rewritten_as_schema_3(self, capsys, tmp_path, as_schema_2):
+        _, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(3,4)")
+        name = self.orbit_files(tmp_path).pop()
+        payload = (tmp_path / name).read_bytes()
+        self.rewrite_checksummed(tmp_path, name, as_schema_2(payload.decode()).encode())
+        rc, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(3,4)")
+        assert rc == 0 and out2 == out1
+        assert (tmp_path / name).read_bytes() == payload
+        assert json.loads(payload)["schema_version"] == 3
 
     def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ORIGAMI_H2_CACHE", str(tmp_path / "envcache"))

@@ -228,6 +228,39 @@ class TestCanonicalKey:
         assert canonical_key(origami_from_key(canonical_key(torus))) == canonical_key(torus)
 
 
+class TestKeyDecoding:
+    @pytest.mark.parametrize(
+        "key",
+        [b"", b"\x00", b"\x00\x03\x01\x02", b"\x00\x03" + bytes(7), b"\x01\x2e" + bytes(4 * 302 - 2)],
+        ids=["empty", "half-header", "short", "long", "wide-short"],
+    )
+    def test_corrupt_key_raises_value_error(self, key):
+        for decode in (origami_from_key, key_to_text):
+            with pytest.raises(ValueError, match="corrupt canonical key"):
+                decode(key)
+
+    def test_key_text_is_the_representative(self):
+        key = canonical_key(build_l_shape(3, 4))
+        o = origami_from_key(key)
+        assert key_to_text(key) == ",".join(map(str, o.right)) + "|" + ",".join(map(str, o.up))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,0,2|2,0,1", "0,1|0,1", "1,0|1,0,2", "x|0", "0,1"],
+        ids=["not-canonical", "disconnected", "lengths", "garbage", "no-bar"],
+    )
+    def test_key_from_text_rejects(self, text):
+        with pytest.raises(ValueError):
+            key_from_text(text)
+
+
+    def test_key_from_text_rejects_more_squares_than_a_key_holds(self):
+        o = build_l_shape(2, 0xFFFF)  # an H(2) surface on 65536 squares
+        text = ",".join(map(str, o.right)) + "|" + ",".join(map(str, o.up))
+        with pytest.raises(ValueError, match="at most 65535 squares"):
+            key_from_text(text)
+
+
 class TestWideKey:
     """n > 255 switches the labels from bytes to big-endian 16-bit words."""
 
@@ -305,6 +338,22 @@ class TestWeierstrassCount:
     def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
             integer_weierstrass_count(build_one_cylinder(2, 2, 2, 0, 1))
+
+    @pytest.mark.parametrize("surface", [build_l_shape(3, 3), build_one_cylinder(1, 1, 1, 0, 3)])
+    def test_decomposes_once(self, monkeypatch, surface):
+        calls = []
+        real = origami_core.cylinder_decomposition
+
+        def counting(o, *args):
+            calls.append(o)
+            return real(o, *args)
+
+        monkeypatch.setattr(origami_core, "cylinder_decomposition", counting)
+        try:
+            integer_weierstrass_count(surface)
+        except ValueError:
+            pass  # the imprimitive surface is rejected after the same one decomposition
+        assert len(calls) == 1
 
     def test_impossible_count_raises(self, monkeypatch):
         # six lattice points would contradict the 1-or-3 theorem; the check

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from origami_h2 import origami_core, sl2_orbit
+from origami_h2.cli import seed_surface
 from origami_h2.origami_core import (
     OneCylinder,
     build_l_shape,
@@ -15,6 +17,7 @@ from origami_h2.origami_core import (
     integer_weierstrass_count,
     is_primitive,
     origami_from_key,
+    key_to_text,
     relabel,
 )
 from origami_h2.sl2_orbit import (
@@ -39,6 +42,40 @@ from origami_h2.sl2_orbit import (
     v_power,
     validate_orbit,
 )
+
+
+def _malformed_documents() -> list:
+    """Malformed variants of the A3 orbit document (3 surfaces, n = 3)."""
+    good = json.loads(orbit_to_json(orbit(seed_surface("A", 3))))
+    cases = [
+        pytest.param(text, id=name)
+        for name, text in (
+            ("empty", ""), ("truncated", "{"), ("list", "[]"), ("null", "null"),
+            ("number", "5"), ("string", '"x"'), ("deep", "[" * 100_000), ("no-fields", "{}"),
+        )
+    ]
+
+    def variant(name: str, **changes) -> None:
+        doc = {k: v for k, v in {**good, **changes}.items() if v is not _DROP}
+        cases.append(pytest.param(json.dumps(doc), id=name))
+
+    for field in good:
+        variant(f"{field}-missing", **{field: _DROP})
+        for value in (None, 7, -1, 3.5, True, "x", [], {}, ["x"], [7]):
+            variant(f"{field}={json.dumps(value)}", **{field: value})
+    for cusps in ([5], [{}], [{"rep": 0}], [{"width": 1}]):
+        variant(f"cusps={json.dumps(cusps)}", cusps=cusps)
+    # the width-1 cusp gets values that compare equal to 1 but are not ints
+    for width in (None, "1", True, 1.0):
+        cusps = [{**c, "width": width} if c["width"] == 1 else c for c in good["cusps"]]
+        variant(f"width={json.dumps(width)}", cusps=cusps)
+    for text in (5, None):
+        variant(f"surface={json.dumps(text)}", surfaces=[text, *good["surfaces"][1:]])
+    variant("empty-orbit", surfaces=[], t_edges=[], s_edges=[], cusps=[])
+    return cases
+
+
+_DROP = object()
 
 
 class TestShears:
@@ -251,25 +288,66 @@ class TestOrbitJson:
             orbit_from_json(json.dumps(doc))
 
     def test_rejects_previous_schema(self, named_orbit):
-        assert ORBIT_SCHEMA_VERSION == 2
+        assert ORBIT_SCHEMA_VERSION == 3
         doc = json.loads(orbit_to_json(named_orbit("A", 3)))
         doc["schema_version"] = 1
         with pytest.raises(ValueError, match="unsupported orbit schema"):
             orbit_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("field", ["t_edges", "s_edges"])
-    def test_rejects_one_tampered_edge_text(self, named_orbit, field):
-        # a relabelled, non-canonical text of the same surface: it names the
-        # right surface, but is not one of the stored surface texts
+    def test_rejects_schema_2_document(self, named_orbit, as_schema_2):
+        v2 = as_schema_2(orbit_to_json(named_orbit("B", 5)))
+        assert json.loads(v2)["t_edges"][0] in json.loads(v2)["surfaces"]
+        with pytest.raises(ValueError, match="unsupported orbit schema: 2"):
+            orbit_from_json(v2)
+
+    def test_edges_are_surface_indices(self, named_orbit):
         orb = named_orbit("B", 5)
         doc = json.loads(orbit_to_json(orb))
-        edges = orb.t_edge if field == "t_edges" else orb.s_edge
-        p = relabel(origami_from_key(edges[orb.surfaces[3]]), [4, 3, 2, 1, 0])
-        relabelled = ",".join(map(str, p.right)) + "|" + ",".join(map(str, p.up))
-        assert relabelled not in doc["surfaces"]
-        doc[field][3] = relabelled
-        with pytest.raises(ValueError, match="edges leave the stored surface list"):
+        assert doc["surfaces"] == [key_to_text(k) for k in orb.surfaces]
+        assert doc["base_key"] == doc["surfaces"][0]
+        for i, key in enumerate(orb.surfaces):
+            assert orb.surfaces[doc["t_edges"][i]] == orb.t_edge[key]
+            assert orb.surfaces[doc["s_edges"][i]] == orb.s_edge[key]
+        assert [(orb.surfaces[c["rep"]], c["width"]) for c in doc["cusps"]] == list(orb.cusps)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda size: size, lambda size: -size, lambda size: False, lambda size: 0.0, lambda size: "0"],
+        ids=["out-of-range", "negative", "bool", "float", "string"],
+    )
+    @pytest.mark.parametrize("field", ["t_edges", "s_edges", "rep"])
+    def test_rejects_bad_index(self, named_orbit, field, bad):
+        # the tampered entry is an index 0, so each bad value other than the
+        # out-of-range one would name the same surface if it were accepted
+        # (-size through Python's negative indexing, False/0.0/"0" by coercion)
+        doc = json.loads(orbit_to_json(named_orbit("B", 5)))
+        size = len(doc["surfaces"])
+        if field == "rep":
+            assert doc["cusps"][0]["rep"] == 0
+            doc["cusps"][0]["rep"] = bad(size)
+        else:
+            doc[field][doc[field].index(0)] = bad(size)
+        with pytest.raises(ValueError, match="not an index into the surface list"):
             orbit_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["t_edges", "s_edges"])
+    def test_rejects_edges_that_are_not_a_permutation(self, named_orbit, field):
+        doc = json.loads(orbit_to_json(named_orbit("B", 5)))
+        edges = doc[field]
+        edges[1] = edges[0]
+        with pytest.raises(ValueError, match=f"{field[0]}-edges are not a permutation"):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_cusp_with_wrong_rep(self, named_orbit):
+        doc = json.loads(orbit_to_json(named_orbit("B", 5)))
+        doc["cusps"][0]["rep"] = doc["t_edges"][doc["cusps"][0]["rep"]]
+        with pytest.raises(ValueError, match="stored cusps disagree"):
+            orbit_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", _malformed_documents())
+    def test_malformed_document_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            orbit_from_json(text)
 
     def test_rejects_duplicate_surface(self, named_orbit):
         doc = json.loads(orbit_to_json(named_orbit("A", 3)))
@@ -289,3 +367,39 @@ class TestOrbitJson:
             doc[field] = doc[field][1:]
         with pytest.raises(ValueError):
             orbit_from_json(json.dumps(doc))
+
+
+class TestCodecCounts:
+    """Each surface's text is made once on write and checked once on read."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name: str) -> list:
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_write_formats_each_surface_once(self, monkeypatch, named_orbit):
+        orb = named_orbit("A", 7)
+        calls = self.count_calls(monkeypatch, sl2_orbit, "key_to_text")
+        orbit_to_json(orb)
+        assert 0 < len(calls) <= orb.index + 1  # plus the base key
+
+    def test_read_parses_each_surface_once(self, monkeypatch, named_orbit):
+        orb = named_orbit("A", 7)
+        text = orbit_to_json(orb)
+        calls = self.count_calls(monkeypatch, sl2_orbit, "key_from_text")
+        orbit_from_json(text)
+        assert len(calls) == orb.index + 1  # plus the base key
+
+    def test_read_checks_transitivity_once_per_surface(self, monkeypatch, named_orbit):
+        orb = named_orbit("A", 7)
+        text = orbit_to_json(orb)
+        calls = self.count_calls(monkeypatch, origami_core, "_is_transitive")
+        orbit_from_json(text)
+        assert len(calls) == orb.index + 1  # plus the base key
