@@ -12,8 +12,11 @@ is swept in cylinder coordinates:
 
 Primitivity in coordinates is gcd(h1,h2) = 1 together with
 gcd(gcd(w1,w2), h2·t1 − h1·t2) = 1 (one-cylinder: gcd(l1,l2,l3) = 1), which
-is the holonomy-lattice test specialised to the builders; enumeration
-re-checks every built origami against ``is_primitive``.
+is the holonomy-lattice test specialised to the builders.  Enumeration
+re-checks every built origami: its cylinder decomposition must give back the
+enumerated tuple (a one-cylinder tuple is kept only as the least of its
+rotations, which is what the decomposition returns), and that diagram's
+holonomy lattice must be all of Z².
 
 Counting is done in the same coordinates: per two-cylinder shape the number
 of primitive twist pairs is w1·w2·φ(g)/g with g = gcd(w1,w2), and the odd-n
@@ -31,10 +34,15 @@ from typing import Iterator, NamedTuple, Optional
 
 from .congruence import divisor_sigma, divisors, euler_phi, moebius, stratum_product
 from .origami_core import (
+    CylinderDiagram,
+    OneCylinder,
+    Origami,
+    TwoCylinder,
+    _diagram_lattice,
     build_one_cylinder,
     build_two_cylinder,
     canonical_key,
-    is_primitive,
+    cylinder_decomposition,
 )
 
 
@@ -96,6 +104,14 @@ def _compositions3(n: int) -> Iterator[tuple]:
             yield (l1, l2, n - l1 - l2)
 
 
+def _check_candidate(o: Origami, diag: CylinderDiagram) -> None:
+    """Raise unless ``o`` decomposes back into ``diag`` and is primitive."""
+    found = cylinder_decomposition(o)
+    det = _diagram_lattice(found).determinant
+    if found != diag or det != 1:
+        raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {det}")
+
+
 def enumerate_primitive(n: int) -> set:
     """Canonical keys of every primitive n-square H(2) origami."""
     if n < 3:
@@ -110,8 +126,7 @@ def enumerate_primitive(n: int) -> set:
             for t2 in range(w2):
                 if gcd(g, c - h1 * t2) == 1:
                     o = build_two_cylinder(h1, h2, w1, w2, t1, t2)
-                    if not is_primitive(o):
-                        raise AssertionError(f"lattice test disagrees at {o!r}")
+                    _check_candidate(o, TwoCylinder(h1, h2, w1, w2, t1, t2))
                     keys.add(canonical_key(o))
     for l1, l2, l3 in _compositions3(n):
         if gcd(gcd(l1, l2), l3) != 1:
@@ -124,8 +139,7 @@ def enumerate_primitive(n: int) -> set:
             if rot1 < (l1, l2, l3, t) or rot2 < (l1, l2, l3, t):
                 continue
             o = build_one_cylinder(l1, l2, l3, t, 1)
-            if not is_primitive(o):
-                raise AssertionError(f"lattice test disagrees at {o!r}")
+            _check_candidate(o, OneCylinder(l1, l2, l3, t, 1))
             keys.add(canonical_key(o))
     return keys
 

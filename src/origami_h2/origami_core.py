@@ -161,14 +161,21 @@ def commutator(o: Origami) -> tuple:
     return tuple(r[u[rinv[uinv[x]]]] for x in range(o.n))
 
 
+def _corners(r, u) -> list:
+    """The squares y whose top-right vertex does not close up: u(r(y)) ≠ r(u(y)).
+
+    The commutator r∘u∘r⁻¹∘u⁻¹ sends u(r(y)) to r(u(y)), and y ↦ u(r(y)) is a
+    bijection, so there is one corner per square the commutator moves.  A
+    derangement of three points is a 3-cycle, so the surface lies in H(2)
+    iff there are exactly three corners: the squares whose top-right vertex
+    is the cone point.
+    """
+    return [y for y in range(len(r)) if u[r[y]] != r[u[y]]]
+
+
 def in_h2(o: Origami) -> bool:
     """True iff the commutator is one 3-cycle plus fixed points (single zero, angle 6π)."""
-    c = commutator(o)
-    moved = [x for x in range(o.n) if c[x] != x]
-    if len(moved) != 3:
-        return False
-    m = moved[0]
-    return c[c[c[m]]] == m
+    return len(_corners(o.right, o.up)) == 3
 
 
 def relabel(o: Origami, g) -> Origami:
@@ -199,34 +206,25 @@ def build_two_cylinder(h1: int, h2: int, w1: int, w2: int, t1: int, t2: int) -> 
         raise InvalidSurfaceError(f"need w1 < w2, got w1={w1}, w2={w2}")
     t1 %= w1
     t2 %= w2
-    nbig = h2 * w2
-
     # Square ids: wide cylinder rows first (y*w2 + x, y = 0 bottom), then the
-    # narrow cylinder (nbig + y*w1 + x).
-    def big(x: int, y: int) -> int:
-        return y * w2 + x
-
-    def small(x: int, y: int) -> int:
-        return nbig + y * w1 + x
-
+    # narrow cylinder (nbig + y*w1 + x).  Each row steps right to the next id
+    # and wraps at its end; each square below a top row steps up by its width.
+    nbig = h2 * w2
     n = nbig + h1 * w1
-    right = [0] * n
-    up = [0] * n
-    for y in range(h2):
-        for x in range(w2):
-            right[big(x, y)] = big((x + 1) % w2, y)
-            if y < h2 - 1:
-                up[big(x, y)] = big(x, y + 1)
-            else:
-                s = (x - t2) % w2
-                up[big(x, y)] = small(s, 0) if s < w1 else big(s, 0)
-    for y in range(h1):
-        for x in range(w1):
-            right[small(x, y)] = small((x + 1) % w1, y)
-            if y < h1 - 1:
-                up[small(x, y)] = small(x, y + 1)
-            else:
-                up[small(x, y)] = big((x - t1) % w1, 0)
+    right = list(range(1, n + 1))
+    right[w2 - 1 : nbig : w2] = range(0, nbig, w2)
+    right[nbig + w1 - 1 :: w1] = range(nbig, n, w1)
+    # wide top position x lands at s = (x - t2) mod w2 of the bottom rows:
+    # the narrow one's for s < w1, the wide one's otherwise
+    lands = [*range(nbig, nbig + w1), *range(w1, w2)]
+    up = [
+        *range(w2, nbig),
+        *lands[w2 - t2 :],
+        *lands[: w2 - t2],
+        *range(nbig + w1, n),
+        *range(w1 - t1, w1),
+        *range(w1 - t1),
+    ]
     return Origami(right, up, check=False)
 
 
@@ -243,23 +241,12 @@ def build_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Ori
     w = l1 + l2 + l3
     t %= w
     n = w * h
-    right = [0] * n
-    up = [0] * n
-    for y in range(h):
-        for x in range(w):
-            i = y * w + x
-            right[i] = y * w + (x + 1) % w
-            if y < h - 1:
-                up[i] = i + w
-            else:
-                # arcs A=[0,l1), B=[l1,l1+l2), C=[l1+l2,w) land in reversed order
-                if x < l1:
-                    fx = x + l2 + l3
-                elif x < l1 + l2:
-                    fx = x - l1 + l3
-                else:
-                    fx = x - l1 - l2
-                up[i] = (fx + t) % w
+    right = list(range(1, n + 1))
+    right[w - 1 :: w] = range(0, n, w)
+    # the top row's arcs A=[0,l1), B=[l1,l1+l2), C=[l1+l2,w) land in reversed
+    # order on the bottom row, which the twist rotates: x ↦ lands[x]
+    lands = [*range(t, w), *range(t)]
+    up = [*range(w, n), *lands[l2 + l3 :], *lands[l3 : l2 + l3], *lands[:l3]]
     return Origami(right, up, check=False)
 
 
@@ -278,158 +265,106 @@ class MalformedSurfaceError(RuntimeError):
     """Horizontal decomposition did not produce one or two cylinders."""
 
 
-def _rows(right) -> list:
-    """Cycles of ``right`` in traversal order: the horizontal rows of squares."""
-    n = len(right)
-    seen = bytearray(n)
-    rows = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        row = [start]
-        seen[start] = 1
-        x = right[start]
-        while x != start:
-            row.append(x)
-            seen[x] = 1
-            x = right[x]
-        rows.append(row)
-    return rows
-
-
-def _cylinder_chains(o: Origami) -> list:
-    """Group rows into cylinders.
-
-    A row glues rigidly to the row above when up commutes with right along it;
-    rigid gluings are cylinder-internal, the others carry the cone point.
-    Returns a list of chains, each a bottom-to-top list of rows.
-    """
-    r, u = o.right, o.up
-    rows = _rows(r)
-    row_of = {}
-    for idx, row in enumerate(rows):
-        for x in row:
-            row_of[x] = idx
-    rigid = [all(u[r[x]] == r[u[x]] for x in row) for row in rows]
-    above = [row_of[u[row[0]]] if rigid[i] else None for i, row in enumerate(rows)]
-    is_above = set(a for a in above if a is not None)
-    chains = []
-    used = set()
-    for i in range(len(rows)):
-        if i in is_above:
-            continue
-        chain = [i]
-        while rigid[chain[-1]]:
-            chain.append(above[chain[-1]])
-            if len(chain) > len(rows):
-                raise MalformedSurfaceError("rigid row gluings form a cycle (flat torus)")
-        chains.append([rows[j] for j in chain])
-        used.update(chain)
-    if len(used) != len(rows):
-        raise MalformedSurfaceError("row gluing structure is inconsistent")
-    return chains
-
-
-def _row_order(row, origin, right) -> list:
-    """The row's squares starting at origin, following ``right``."""
-    out = [origin]
-    x = right[origin]
-    while x != origin:
-        out.append(x)
-        x = right[x]
-    return out
-
-
 def cylinder_decomposition(o: Origami, direction: str = "horizontal") -> CylinderDiagram:
     """The cylinder diagram of ``o`` in the given direction.
 
     Horizontal decomposition reads the diagram straight off the rows; the
     vertical one is the horizontal decomposition of the quarter-turned
-    surface.  Raises MalformedSurfaceError when the cylinder count is not
-    1 or 2, which cannot happen for a surface in H(2).
+    surface.  Raises ValueError for a surface outside H(2) and
+    MalformedSurfaceError for a flat torus or a cylinder count other than
+    1 or 2, which cannot happen in H(2).
+
+    The top row of each cylinder is the row holding one of the three
+    corners (:func:`_corners`); every other row glues rigidly to the row
+    above it.  Each top row is walked once from a break q = right(corner),
+    the first square after a cut in its top boundary, and gets one position
+    array.  Everything else is read off by climbing single columns from the
+    bottom squares up(q) to the next top row, so the cost is O(n).
     """
     if direction == "vertical":
         return cylinder_decomposition(_quarter_turn(o), "horizontal")
     if direction != "horizontal":
         raise ValueError(f"unknown direction {direction!r}")
-    if not in_h2(o):
-        raise ValueError("surface is not in H(2)")
-    chains = _cylinder_chains(o)
-    if len(chains) == 1:
-        return _one_cylinder_diagram(o, chains[0])
-    if len(chains) == 2:
-        return _two_cylinder_diagram(o, chains)
-    raise MalformedSurfaceError(f"{len(chains)} cylinders; H(2) allows only 1 or 2")
-
-
-def _one_cylinder_diagram(o: Origami, chain) -> OneCylinder:
     r, u = o.right, o.up
-    h = len(chain)
-    bottom, top = chain[0], chain[-1]
-    w = len(bottom)
-    uinv = _inverse(u)
-    rinv = _inverse(r)
-    # corner candidates: positions on the top row where the gluing breaks
-    breaks = [q for q in top if u[q] != r[u[rinv[q]]]]
-    if len(breaks) != 3:
-        raise MalformedSurfaceError(f"one-cylinder gluing with {len(breaks)} corners")
+    corners = _corners(r, u)
+    if not corners:
+        raise MalformedSurfaceError("rigid row gluings form a cycle (flat torus)")
+    if len(corners) != 3:
+        raise ValueError("surface is not in H(2)")
+    n = o.n
+    breaks = [r[y] for y in corners]
+    row_of = [-1] * n  # index of the top row holding a square, -1 below the tops
+    pos = [0] * n  # position along its top row, counted from that row's first break
+    widths = []
+    for q in breaks:
+        if row_of[q] < 0:
+            row = len(widths)
+            x, k = q, 0
+            while row_of[x] < 0:
+                row_of[x] = row
+                pos[x] = k
+                k += 1
+                x = r[x]
+            widths.append(k)
+    if len(widths) == 1:
+        diag = _one_cylinder_diagram(u, breaks, row_of, pos, widths[0])
+    elif len(widths) == 2:
+        diag = _two_cylinder_diagram(u, breaks, row_of, pos, widths)
+    else:
+        raise MalformedSurfaceError(f"{len(widths)} cylinders; H(2) allows only 1 or 2")
+    if diag.n != n:
+        raise MalformedSurfaceError("row gluing structure is inconsistent")
+    return diag
+
+
+def _climb(u, row_of, x) -> tuple:
+    """(first top-row square at or above x, number of rows from x up to it)."""
+    for h in range(1, len(u) + 1):
+        if row_of[x] >= 0:
+            return x, h
+        x = u[x]
+    raise MalformedSurfaceError("rigid row gluings form a cycle")
+
+
+def _one_cylinder_diagram(u, breaks, row_of, pos, w) -> OneCylinder:
+    # Each break q can serve as position 0 of the top row: the cuts then sit
+    # at 0 < c1 < c2, and the twist is where up(q) lands on the bottom row,
+    # measured from the column under q, less l2 + l3.  The decomposition is
+    # the least of the three readings.
     best = None
     for q in breaks:
-        order_top = _row_order(top, q, r)
-        pos_top = {x: i for i, x in enumerate(order_top)}
-        cuts = sorted(pos_top[b] for b in breaks)
-        l1 = cuts[1] - cuts[0]
-        l2 = cuts[2] - cuts[1]
-        l3 = w - cuts[2]
-        # the column under q runs straight down to the bottom row
-        b0 = q
-        for _ in range(h - 1):
-            b0 = uinv[b0]
-        pos_bot = {x: i for i, x in enumerate(_row_order(bottom, b0, r))}
-        t = (pos_bot[u[q]] - l2 - l3) % w
-        cand = OneCylinder(l1, l2, l3, t, h)
+        p = pos[q]
+        c1, c2 = sorted((pos[b] - p) % w for b in breaks if b != q)
+        a, h = _climb(u, row_of, u[q])
+        cand = OneCylinder(c1, c2 - c1, w - c2, (pos[a] - p + c1) % w, h)
         if best is None or cand < best:
             best = cand
     return best
 
 
-def _two_cylinder_diagram(o: Origami, chains) -> TwoCylinder:
-    r, u = o.right, o.up
-    uinv = _inverse(u)
-    rinv = _inverse(r)
-    chains.sort(key=lambda ch: len(ch[0]))
-    small_chain, big_chain = chains
-    w1, w2 = len(small_chain[0]), len(big_chain[0])
-    if w1 >= w2:
+def _two_cylinder_diagram(u, breaks, row_of, pos, widths) -> TwoCylinder:
+    # The narrow top row holds one break q1, and up(q1) is the wide bottom
+    # row's position 0.  Of the wide top row's two breaks, the one whose
+    # up-image climbs into the narrow cylinder, q2, lands on the narrow bottom
+    # row's position 0.  t1 and t2 are the positions of q1 and q2 counted from
+    # the top of the column climbed from their cylinder's position 0.
+    narrow = 0 if widths[0] < widths[1] else 1
+    w1, w2 = widths[narrow], widths[1 - narrow]
+    if w1 == w2:
         raise MalformedSurfaceError("two cylinders of equal width cannot occur in H(2)")
-    h1, h2 = len(small_chain), len(big_chain)
-    small_top = set(small_chain[-1])
-    small_bottom = set(small_chain[0])
-    big_bottom_row = big_chain[0]
-
-    # origin of the wide cylinder: where the narrow cylinder's gluing range starts
-    y0 = next(
-        y for y in big_bottom_row if uinv[y] in small_top and uinv[rinv[y]] not in small_top
-    )
-    big_order = _row_order(big_bottom_row, y0, r)
-    # climb the rigid part to coordinate the top row
-    top_of = {x: x for x in big_order}
-    for _ in range(h2 - 1):
-        top_of = {x: u[top_of[x]] for x in big_order}
-    # t2: top position whose up-image starts the narrow cylinder's bottom row
-    t2 = next(
-        x
-        for x in range(w2)
-        if u[top_of[big_order[x]]] in small_bottom
-        and u[top_of[big_order[(x - 1) % w2]]] not in small_bottom
-    )
-    s0 = u[top_of[big_order[t2]]]
-    small_order = _row_order(small_chain[0], s0, r)
-    stop_of = {x: x for x in small_order}
-    for _ in range(h1 - 1):
-        stop_of = {x: u[stop_of[x]] for x in small_order}
-    t1 = next(x for x in range(w1) if u[stop_of[small_order[x]]] == y0)
-    return TwoCylinder(h1, h2, w1, w2, t1, t2)
+    narrow_breaks = [q for q in breaks if row_of[q] == narrow]
+    if len(narrow_breaks) != 1:
+        raise MalformedSurfaceError("the narrow cylinder's top must hold one corner")
+    q1 = narrow_breaks[0]
+    a2, h2 = _climb(u, row_of, u[q1])
+    for q2 in breaks:
+        if q2 != q1:
+            a1, h1 = _climb(u, row_of, u[q2])
+            if row_of[a1] == narrow:
+                break
+    else:
+        raise MalformedSurfaceError("the wide cylinder does not glue into the narrow one")
+    return TwoCylinder(h1, h2, w1, w2, (pos[q1] - pos[a1]) % w1, (pos[q2] - pos[a2]) % w2)
 
 
 def _quarter_turn(o: Origami) -> Origami:
@@ -458,9 +393,8 @@ def canonical_key(o: Origami) -> bytes:
     :func:`origami_from_key`.
     """
     n, r, u = o.n, o.right, o.up
-    # c = r∘u∘r⁻¹∘u⁻¹ sends u(r(y)) to r(u(y)), so it moves u(r(y)) iff the
-    # corner at the top right of y does not close up
-    starts = [u[r[y]] for y in range(n) if u[r[y]] != r[u[y]]] or range(n)
+    # the commutator moves u(r(y)) exactly for the corners y
+    starts = [u[r[y]] for y in _corners(r, u)] or range(n)
     best = None
     for s0 in starts:
         # BFS and encoding fused: the pair for x is final once x is processed,
@@ -530,13 +464,17 @@ def key_to_text(key: bytes) -> str:
 
 
 def key_from_text(text: str) -> bytes:
-    """The key of a text that must be the canonical form of a valid surface."""
+    """The key of a text that must be the canonical form of an H(2) surface."""
     rpart, upart = text.split("|")
     right = [int(v) for v in rpart.split(",")]
     up = [int(v) for v in upart.split(",")]
     if len(right) > 0xFFFF:
         raise ValueError("a canonical key holds at most 65535 squares")
-    key = canonical_key(Origami(right, up))
+    o = Origami(right, up)
+    # checked first: outside H(2) the key may try all n starts, O(n²) in all
+    if not in_h2(o):
+        raise ValueError("text is not a surface in H(2)")
+    key = canonical_key(o)
     if key_to_text(key) != text:
         raise ValueError("text does not encode a canonical representative")
     return key

@@ -1,10 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Each oracle recomputes a quantity by a route disjoint from the production
-code: the canonical key started from every square, brute force over
-permutation pairs, spanning-tree holonomy with explicit sublattice
-enumeration, and the hyperelliptic involution found by constraint
-propagation.  Slow is fine here; different is the point.
+code: the canonical key started from every square, the cylinder builders
+square by square, brute force over permutation pairs, spanning-tree holonomy
+with explicit sublattice enumeration, and the hyperelliptic involution found
+by constraint propagation.  Slow is fine here; different is the point.
 """
 
 from itertools import permutations
@@ -13,7 +13,13 @@ from struct import pack
 
 import numpy as np
 
-from origami_h2.origami_core import Origami, canonical_key, in_h2, is_primitive
+from origami_h2.origami_core import (
+    InvalidSurfaceError,
+    Origami,
+    canonical_key,
+    in_h2,
+    is_primitive,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +51,81 @@ def all_starts_key(o: Origami) -> bytes:
         if best is None or flat < best:
             best = flat
     return pack(f">H{2 * n}H", n, *best)
+
+
+# ---------------------------------------------------------------------------
+# the cylinder builders, square by square
+#
+# The library builds each row from range slices and one rotated list of
+# landing squares.  These references compute every square's right and up
+# neighbour separately from its (x, y) coordinates; the library's builders
+# must return equal Origami values.
+
+
+def reference_two_cylinder(h1: int, h2: int, w1: int, w2: int, t1: int, t2: int) -> Origami:
+    if min(h1, h2, w1, w2) < 1:
+        raise InvalidSurfaceError("cylinder heights and widths must be positive")
+    if w1 >= w2:
+        raise InvalidSurfaceError(f"need w1 < w2, got w1={w1}, w2={w2}")
+    t1 %= w1
+    t2 %= w2
+    nbig = h2 * w2
+
+    # Square ids: wide cylinder rows first (y*w2 + x, y = 0 bottom), then the
+    # narrow cylinder (nbig + y*w1 + x).
+    def big(x: int, y: int) -> int:
+        return y * w2 + x
+
+    def small(x: int, y: int) -> int:
+        return nbig + y * w1 + x
+
+    n = nbig + h1 * w1
+    right = [0] * n
+    up = [0] * n
+    for y in range(h2):
+        for x in range(w2):
+            right[big(x, y)] = big((x + 1) % w2, y)
+            if y < h2 - 1:
+                up[big(x, y)] = big(x, y + 1)
+            else:
+                s = (x - t2) % w2
+                up[big(x, y)] = small(s, 0) if s < w1 else big(s, 0)
+    for y in range(h1):
+        for x in range(w1):
+            right[small(x, y)] = small((x + 1) % w1, y)
+            if y < h1 - 1:
+                up[small(x, y)] = small(x, y + 1)
+            else:
+                up[small(x, y)] = big((x - t1) % w1, 0)
+    return Origami(right, up, check=False)
+
+
+def reference_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Origami:
+    if min(l1, l2, l3) < 1:
+        raise InvalidSurfaceError("saddle connection lengths must be positive")
+    if h < 1:
+        raise InvalidSurfaceError("height must be positive")
+    w = l1 + l2 + l3
+    t %= w
+    n = w * h
+    right = [0] * n
+    up = [0] * n
+    for y in range(h):
+        for x in range(w):
+            i = y * w + x
+            right[i] = y * w + (x + 1) % w
+            if y < h - 1:
+                up[i] = i + w
+            else:
+                # arcs A=[0,l1), B=[l1,l1+l2), C=[l1+l2,w) land in reversed order
+                if x < l1:
+                    fx = x + l2 + l3
+                elif x < l1 + l2:
+                    fx = x - l1 + l3
+                else:
+                    fx = x - l1 - l2
+                up[i] = (fx + t) % w
+    return Origami(right, up, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -93,33 +174,13 @@ def brute_force_census(n: int) -> tuple:
     one-3-cycle commutator; dividing by n! gives the surface count because
     H(2) origamis admit no nontrivial translations.
     """
-    perms = np.array(list(permutations(range(n))), dtype=np.int8)
-    inverses = np.argsort(perms, axis=1).astype(np.int8)
-    idx = np.arange(n, dtype=np.int8)
-
+    perms, inverses = all_permutations(n)
     keys = set()
     total_pairs = 0
     for parts in _partitions(n):
         r = _type_representative(parts)
-        r_arr = np.array(r, dtype=np.int8)
-        rinv_arr = np.argsort(r_arr).astype(np.int8)
-
-        # commutator c = r . u . r^-1 . u^-1, composed right to left
-        step = rinv_arr[inverses]
-        step = np.take_along_axis(perms, step, axis=1)
-        c = r_arr[step]
-        fixed = (c == idx).sum(axis=1)
-        ccc = np.take_along_axis(c, np.take_along_axis(c, c, axis=1), axis=1)
-        h2_mask = (fixed == n - 3) & (ccc == idx).all(axis=1)
-
-        # transitivity: min-label propagation along r and u edges, both ways
-        labels = np.broadcast_to(idx, perms.shape).copy()
-        for _ in range(n):
-            labels = np.minimum(labels, labels[:, r_arr])
-            labels = np.minimum(labels, labels[:, rinv_arr])
-            labels = np.minimum(labels, np.take_along_axis(labels, perms, axis=1))
-            labels = np.minimum(labels, np.take_along_axis(labels, inverses, axis=1))
-        mask = h2_mask & (labels.max(axis=1) == 0)
+        h2_mask, transitive = pair_masks(r, perms, inverses)
+        mask = h2_mask & transitive
 
         total_pairs += _class_size(parts) * int(mask.sum())
         for row in perms[mask]:
@@ -128,6 +189,41 @@ def brute_force_census(n: int) -> tuple:
             if is_primitive(o):
                 keys.add(canonical_key(o))
     return keys, total_pairs
+
+
+def all_permutations(n: int) -> tuple:
+    """Every permutation of 0..n-1 one per row, and their inverses."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int8).reshape(-1, n)
+    return perms, np.argsort(perms, axis=1).astype(np.int8)
+
+
+def pair_masks(r: tuple, perms: np.ndarray, inverses: np.ndarray) -> tuple:
+    """(commutator is one 3-cycle, pair is transitive) for r against each row u.
+
+    Both straight from the definitions: the commutator r.u.r^-1.u^-1 fixes
+    all but three squares and its cube is the identity; transitivity by
+    min-label propagation along r and u edges, both ways.
+    """
+    n = perms.shape[1]
+    idx = np.arange(n, dtype=np.int8)
+    r_arr = np.array(r, dtype=np.int8)
+    rinv_arr = np.argsort(r_arr).astype(np.int8)
+
+    # commutator c = r . u . r^-1 . u^-1, composed right to left
+    step = rinv_arr[inverses]
+    step = np.take_along_axis(perms, step, axis=1)
+    c = r_arr[step]
+    fixed = (c == idx).sum(axis=1)
+    ccc = np.take_along_axis(c, np.take_along_axis(c, c, axis=1), axis=1)
+    h2_mask = (fixed == n - 3) & (ccc == idx).all(axis=1)
+
+    labels = np.broadcast_to(idx, perms.shape).copy()
+    for _ in range(n):
+        labels = np.minimum(labels, labels[:, r_arr])
+        labels = np.minimum(labels, labels[:, rinv_arr])
+        labels = np.minimum(labels, np.take_along_axis(labels, perms, axis=1))
+        labels = np.minimum(labels, np.take_along_axis(labels, inverses, axis=1))
+    return h2_mask, labels.max(axis=1) == 0
 
 
 # ---------------------------------------------------------------------------

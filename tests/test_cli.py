@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import origami_h2
-from origami_h2 import cli
+from origami_h2 import cli, sl2_orbit
 
 COUNTS_HEADER = "n,total,formula_total,a_count,a_formula,b_count,b_formula,match"
 
@@ -255,6 +255,31 @@ class TestCache:
         self.rewrite_checksummed(tmp_path, name, data)
         rc, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
         assert rc == 0 and out2 == out1
+        assert (tmp_path / name).read_bytes() == payload
+
+    def test_checksummed_torus_cover_text_is_recomputed(self, capsys, tmp_path, monkeypatch):
+        # a canonical text of a transitive pair outside H(2): the 5-cycle
+        # beside the identity, a torus cover with no cone point
+        _, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
+        name = self.orbit_files(tmp_path).pop()
+        payload = (tmp_path / name).read_bytes()
+        doc = json.loads(payload)
+        doc["surfaces"][0] = "1,2,3,4,0|0,1,2,3,4"
+        self.rewrite_checksummed(tmp_path, name, json.dumps(doc).encode())
+        rejected = []
+        real = sl2_orbit.key_from_text
+
+        def spy(text):
+            try:
+                return real(text)
+            except ValueError as exc:
+                rejected.append(str(exc))
+                raise
+
+        monkeypatch.setattr(sl2_orbit, "key_from_text", spy)
+        rc, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
+        assert rc == 0 and out2 == out1
+        assert rejected == ["text is not a surface in H(2)"]
         assert (tmp_path / name).read_bytes() == payload
 
     def test_schema_2_file_is_rewritten_as_schema_3(self, capsys, tmp_path, as_schema_2):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from origami_h2 import enumeration
 from origami_h2.enumeration import (
     classify,
     count_primitive,
@@ -61,6 +62,39 @@ class TestEnumerator:
 
     def test_count_below_three_is_zero(self):
         assert count_primitive(2) == 0
+
+
+class TestCrossCheck:
+    """Every built candidate must decompose back into its own tuple.
+
+    At n = 7 every shifted twist below still gives a primitive surface, so
+    only the decomposition, not primitivity, can tell the builder is wrong.
+    """
+
+    def test_wrong_two_cylinder_twist_raises(self, monkeypatch):
+        real = enumeration.build_two_cylinder
+        monkeypatch.setattr(
+            enumeration, "build_two_cylinder",
+            lambda h1, h2, w1, w2, t1, t2: real(h1, h2, w1, w2, t1, t2 + 1),
+        )
+        with pytest.raises(AssertionError, match="decomposes as"):
+            enumerate_primitive(7)
+
+    def test_wrong_one_cylinder_twist_raises(self, monkeypatch):
+        real = enumeration.build_one_cylinder
+        monkeypatch.setattr(
+            enumeration, "build_one_cylinder",
+            lambda l1, l2, l3, t, h: real(l1, l2, l3, t + 1, h),
+        )
+        with pytest.raises(AssertionError, match="decomposes as"):
+            enumerate_primitive(7)
+
+    def test_imprimitive_candidate_raises(self, monkeypatch):
+        # with the coordinate filter off, 2cyl(2,2,1,2,0,0) is built: it
+        # decomposes back into itself, but both heights are even
+        monkeypatch.setattr(enumeration, "gcd", lambda a, b: 1)
+        with pytest.raises(AssertionError, match="lattice determinant 2"):
+            enumerate_primitive(6)
 
 
 class TestClassify:

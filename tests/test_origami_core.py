@@ -1,11 +1,17 @@
 import random
-from itertools import permutations
+from itertools import compress, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_starts_key
+from oracles import (
+    all_permutations,
+    all_starts_key,
+    pair_masks,
+    reference_one_cylinder,
+    reference_two_cylinder,
+)
 from origami_h2 import origami_core
 from origami_h2.origami_core import (
     InvalidSurfaceError,
@@ -13,6 +19,7 @@ from origami_h2.origami_core import (
     OneCylinder,
     Origami,
     TwoCylinder,
+    _is_transitive,
     build_from_diagram,
     build_l_shape,
     build_one_cylinder,
@@ -52,16 +59,38 @@ def all_two_cylinder_tuples(n):
                             yield (h1, h2, w1, w2, t1, t2)
 
 
-def all_h2_surfaces(n):
-    """Every H(2) surface on n squares, primitive or not, once per cylinder tuple."""
-    for t in all_two_cylinder_tuples(n):
-        yield build_two_cylinder(*t)
+def all_one_cylinder_tuples(n):
+    """Every (l1, l2, l3, t, h) on n squares, heights above 1 included."""
     for w in range(3, n + 1):
         if n % w == 0:
             for l1 in range(1, w - 1):
                 for l2 in range(1, w - l1):
                     for t in range(w):
-                        yield build_one_cylinder(l1, l2, w - l1 - l2, t, n // w)
+                        yield (l1, l2, w - l1 - l2, t, n // w)
+
+
+def all_h2_surfaces(n):
+    """Every H(2) surface on n squares, primitive or not, once per cylinder tuple."""
+    for t in all_two_cylinder_tuples(n):
+        yield build_two_cylinder(*t)
+    for t in all_one_cylinder_tuples(n):
+        yield build_one_cylinder(*t)
+
+
+def least_rotation(l1, l2, l3, t, h):
+    """The one-cylinder tuple the decomposition reports: the least of the three
+    readings (l1,l2,l3,t), (l2,l3,l1,t−2·l1), (l3,l1,l2,t−2·(l1+l2)) mod w."""
+    w = l1 + l2 + l3
+    rots = [(l1, l2, l3, t % w), (l2, l3, l1, (t - 2 * l1) % w), (l3, l1, l2, (t - 2 * (l1 + l2)) % w)]
+    return OneCylinder(*min(rots), h)
+
+
+def quarter_turn(o):
+    """(up, right⁻¹): the surface whose horizontal structure is o's vertical one."""
+    rinv = [0] * o.n
+    for i, j in enumerate(o.right):
+        rinv[j] = i
+    return Origami(o.up, rinv)
 
 
 class TestBuilders:
@@ -90,6 +119,16 @@ class TestBuilders:
             build_one_cylinder(1, 1, 1, 0, 0)
         with pytest.raises(InvalidSurfaceError):
             build_l_shape(1, 5)
+
+    def test_slices_equal_the_per_square_reference(self):
+        # every tuple up to n = 20, with twists as given and moved out of [0, w)
+        for n in range(3, 21):
+            for h1, h2, w1, w2, t1, t2 in all_two_cylinder_tuples(n):
+                for tup in ((h1, h2, w1, w2, t1, t2), (h1, h2, w1, w2, t1 - 2 * w1, t2 + 3 * w2)):
+                    assert build_two_cylinder(*tup) == reference_two_cylinder(*tup), tup
+            for l1, l2, l3, t, h in all_one_cylinder_tuples(n):
+                for tup in ((l1, l2, l3, t, h), (l1, l2, l3, t + 2 * n, h), (l1, l2, l3, t - n, h)):
+                    assert build_one_cylinder(*tup) == reference_one_cylinder(*tup), tup
 
     def test_twists_are_reduced_modulo_widths(self):
         assert build_two_cylinder(1, 1, 2, 3, 2, 3) == build_two_cylinder(1, 1, 2, 3, 0, 0)
@@ -163,6 +202,76 @@ class TestDecomposition:
         # (1, n-3, 2) is one-cylinder in both directions
         diag = cylinder_decomposition(build_one_cylinder(1, 6, 2, 0, 1), "vertical")
         assert isinstance(diag, OneCylinder)
+
+
+class TestDecompositionOracles:
+    def test_rebuilds_every_surface_in_both_directions(self):
+        # horizontal: the diagram rebuilds o; vertical: it rebuilds o turned
+        # a quarter, whose rows are o's columns
+        for n in range(3, 11):
+            for o in all_h2_surfaces(n):
+                key = canonical_key(o)
+                assert canonical_key(build_from_diagram(cylinder_decomposition(o))) == key
+                turned = quarter_turn(o)
+                vertical = cylinder_decomposition(o, "vertical")
+                assert canonical_key(build_from_diagram(vertical)) == canonical_key(turned)
+
+    def test_recovers_every_relabelled_tuple(self):
+        # all tuples up to n = 16: imprimitive ones, and one-cylinder ones of
+        # every height h | n; a two-cylinder tuple comes back as itself, a
+        # one-cylinder tuple as its least rotation
+        rng = random.Random(16)
+        tall = imprimitive = 0
+        for n in range(3, 17):
+            g = list(range(n))
+            diags = [TwoCylinder(*t) for t in all_two_cylinder_tuples(n)]
+            diags += [OneCylinder(*t) for t in all_one_cylinder_tuples(n)]
+            for diag in diags:
+                rng.shuffle(g)
+                o = relabel(build_from_diagram(diag), g)
+                found = cylinder_decomposition(o)
+                want = diag if isinstance(diag, TwoCylinder) else least_rotation(*diag)
+                assert found == want, (diag, g)
+                assert canonical_key(build_from_diagram(found)) == canonical_key(o)
+                tall += isinstance(diag, OneCylinder) and diag.h > 1
+                imprimitive += not is_primitive(o)
+        assert tall and imprimitive
+
+    def test_errors_over_every_transitive_pair_up_to_5(self):
+        # a trivial commutator is a flat torus; any other one that is not a
+        # 3-cycle, such as (0 1)(2 3) of r = (2 3), u = (0 2)(1 3) in H(1,1),
+        # is outside H(2)
+        for n in range(1, 6):
+            perms = list(permutations(range(n)))
+            for r in perms:
+                for u in perms:
+                    if not _is_transitive(r, u):
+                        continue
+                    o = Origami(r, u)
+                    moved = sum(a != b for a, b in enumerate(commutator(o)))
+                    if moved == 3:
+                        continue
+                    error, match = (
+                        (MalformedSurfaceError, "flat torus") if moved == 0
+                        else (ValueError, "not in H\\(2\\)")
+                    )
+                    for direction in ("horizontal", "vertical"):
+                        with pytest.raises(error, match=match):
+                            cylinder_decomposition(o, direction)
+
+    def test_in_h2_is_the_commutator_definition(self):
+        # every transitive pair with n <= 6, against the 3-cycle definition
+        # evaluated independently over all u at once
+        pairs = 0
+        for n in range(1, 7):
+            perms, inverses = all_permutations(n)
+            rows = [tuple(p) for p in perms.tolist()]
+            for r in rows:
+                h2_mask, transitive = pair_masks(r, perms, inverses)
+                got = [in_h2(Origami(r, u, check=False)) for u in compress(rows, transitive)]
+                assert got == h2_mask[transitive].tolist(), r
+                pairs += len(got)
+        assert pairs == 425160
 
 
 class TestCanonicalKey:
@@ -253,6 +362,16 @@ class TestKeyDecoding:
         with pytest.raises(ValueError):
             key_from_text(text)
 
+    def test_key_from_text_rejects_a_torus_cover_before_keying(self, monkeypatch):
+        # the n-cycle beside the identity is canonical and transitive but has
+        # no cone point, so a key of it would try all n starts
+        n = 4000
+        text = ",".join(map(str, [*range(1, n), 0])) + "|" + ",".join(map(str, range(n)))
+        calls = []
+        monkeypatch.setattr(origami_core, "canonical_key", calls.append)
+        with pytest.raises(ValueError, match="not a surface in H\\(2\\)"):
+            key_from_text(text)
+        assert calls == []
 
     def test_key_from_text_rejects_more_squares_than_a_key_holds(self):
         o = build_l_shape(2, 0xFFFF)  # an H(2) surface on 65536 squares
