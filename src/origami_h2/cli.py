@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``counts`` (primitive census vs. the closed formulas),
-``orbit`` (SL(2,Z) orbit of one surface, cached on disk), ``noncong``
+``orbit`` (SL(2,Z) orbit of one surface), ``noncong``
 (noncongruence certificate for a named stabiliser), ``badcases`` (the fixed
 d/δ reproduction table) and ``verify`` (orbit-count / level / invariant
 property sweeps).
@@ -10,25 +10,14 @@ Exit codes: 0 success, 1 a checked property failed, 2 bad arguments or
 unparsable input, 3 surface outside the supported stratum (not primitive or
 not H(2)), 4 noncongruence search inconclusive.
 
-Orbits are cached one JSON file per (n, canonical base key) under
-``--cache-dir`` (default: ``$ORIGAMI_H2_CACHE``, else ``~/.cache/origami-h2``).
-A ``manifest.json`` maps keys to files with SHA-256 checksums; writes go
-through a temp file + rename so concurrent runs never corrupt the cache, and
-hits are re-validated by :func:`orbit_from_json` (canonical surface texts,
-edge closure, cusp structure) before use; a file that fails is recomputed.
-The manifest indexes each file by the queried surface and by the orbit
-minimum only, so a query for another member of a cached orbit recomputes it.
+Every orbit is computed afresh; nothing is written to disk.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-import tempfile
-from pathlib import Path
 from typing import Optional
 
 from .congruence import (
@@ -44,7 +33,6 @@ from .origami_core import (
     Origami,
     build_from_diagram,
     build_l_shape,
-    canonical_key,
     in_h2,
     integer_weierstrass_count,
     is_primitive,
@@ -52,10 +40,8 @@ from .origami_core import (
     origami_from_key,
     parse_diagram,
 )
-from .sl2_orbit import Orbit, level, orbit, orbit_from_json, orbit_to_json
+from .sl2_orbit import level, orbit
 
-TOOL_VERSION = "0.1.0"
-MANIFEST_SCHEMA_VERSION = 1
 SUMMARY_SCHEMA_VERSION = 1
 
 EXIT_OK = 0
@@ -68,96 +54,9 @@ COUNTS_CSV_HEADER = "n,total,formula_total,a_count,a_formula,b_count,b_formula,m
 
 BAD_CASE_ROWS = (9, 15, 21, 27, 51)
 
-
-# ---------------------------------------------------------------------------
-# orbit cache
-
-
-class OrbitCache:
-    """One JSON file per (n, base key), indexed by a checksummed manifest."""
-
-    def __init__(self, root: Path):
-        self.root = root
-        self.manifest_path = root / "manifest.json"
-
-    def _load_manifest(self) -> dict:
-        try:
-            doc = json.loads(self.manifest_path.read_text())
-        except (OSError, ValueError):
-            return {}
-        if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-            return {}
-        entries = doc.get("entries")
-        return entries if isinstance(entries, dict) else {}
-
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def get(self, lookup_key: bytes) -> Optional[Orbit]:
-        """The cached orbit containing ``lookup_key``, or None; hits are re-validated."""
-        entry = self._load_manifest().get(key_to_text(lookup_key))
-        if entry is None:
-            return None
-        try:
-            data = (self.root / entry["orbit_file"]).read_bytes()
-        except (OSError, TypeError, KeyError):
-            return None
-        if hashlib.sha256(data).hexdigest() != entry.get("checksum"):
-            return None
-        try:
-            orb = orbit_from_json(data.decode())
-        except ValueError:
-            return None
-        if lookup_key not in orb.surfaces:
-            return None
-        return orb
-
-    def put(self, orb: Orbit, text: str, lookup_key: bytes) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        base_text = key_to_text(orb.base_key)
-        digest = hashlib.sha256(base_text.encode()).hexdigest()[:16]
-        name = f"orbit_{orb.n}_{digest}.json"
-        data = text.encode()
-        self._atomic_write(self.root / name, data)
-        entry = {
-            "n": orb.n,
-            "base_key": base_text,
-            "orbit_file": name,
-            "checksum": hashlib.sha256(data).hexdigest(),
-            "tool_version": TOOL_VERSION,
-        }
-        entries = self._load_manifest()
-        # index the file both by the queried surface and by the orbit minimum
-        entries[key_to_text(lookup_key)] = entry
-        entries[base_text] = entry
-        manifest = {
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "entries": entries,
-        }
-        self._atomic_write(
-            self.manifest_path, json.dumps(manifest, sort_keys=True, indent=1).encode()
-        )
-
-
-def cached_orbit(o: Origami, cache: OrbitCache) -> Orbit:
-    """Compute (or reload) the orbit of ``o``, keeping the cache warm."""
-    seed_key = canonical_key(o)
-    hit = cache.get(seed_key)
-    if hit is not None:
-        return hit
-    orb = orbit(o)
-    cache.put(orb, orbit_to_json(orb), seed_key)
-    return orb
+# the census at n = 100 takes about 24 s and 85 MB on 2 cores; memory grows
+# faster than that above it
+MAX_COUNTS_N = 100
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +87,9 @@ def seed_surface(label: str, n: int) -> Origami:
 def cmd_counts(args: argparse.Namespace) -> int:
     if args.n_min < 3 or args.n_min > args.n_max:
         print(f"invalid range [{args.n_min}, {args.n_max}]: need 3 <= n_min <= n_max", file=sys.stderr)
+        return EXIT_USAGE
+    if args.n_max > MAX_COUNTS_N:
+        print(f"n_max = {args.n_max} exceeds the census limit {MAX_COUNTS_N}", file=sys.stderr)
         return EXIT_USAGE
     reports = verify_counts(args.n_min, args.n_max)
     if args.format == "json":
@@ -237,7 +139,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     if not in_h2(o) or not is_primitive(o):
         print("surface is not a primitive H(2) origami", file=sys.stderr)
         return EXIT_BAD_SURFACE
-    orb = cached_orbit(o, args.cache)
+    orb = orbit(o)
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "n": orb.n,
@@ -259,7 +161,7 @@ def cmd_noncong(args: argparse.Namespace) -> int:
     if args.n > args.max_orbit_n:
         print(f"n = {args.n} exceeds --max-orbit-n = {args.max_orbit_n}", file=sys.stderr)
         return EXIT_USAGE
-    orb = cached_orbit(o, args.cache)
+    orb = orbit(o)
     cert = noncongruence_search(orb)
     if cert is None:
         print("inconclusive")
@@ -315,15 +217,15 @@ def _expected_level(label: str, n: int) -> int:
     return ell // 4 if label == "B" else ell
 
 
-def _orbits_for(n: int, cache: OrbitCache) -> dict:
+def _orbits_for(n: int) -> dict:
     """The named orbits at n: {label: Orbit} (one for n even or n = 3)."""
     if n == 3:
-        return {"A": cached_orbit(seed_surface("A", 3), cache)}
+        return {"A": orbit(seed_surface("A", 3))}
     if n % 2 == 0:
-        return {"C": cached_orbit(seed_surface("C", n), cache)}
+        return {"C": orbit(seed_surface("C", n))}
     return {
-        "A": cached_orbit(seed_surface("A", n), cache),
-        "B": cached_orbit(seed_surface("B", n), cache),
+        "A": orbit(seed_surface("A", n)),
+        "B": orbit(seed_surface("B", n)),
     }
 
 
@@ -336,7 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     failures = 0
     for n in range(3, args.n_max + 1):
-        orbits = _orbits_for(n, args.cache)
+        orbits = _orbits_for(n)
         if args.suite == "orbits":
             sizes = {label: orb.index for label, orb in orbits.items()}
             total = count_primitive(n)
@@ -374,21 +276,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # entry point
 
 
-def _default_cache_dir() -> str:
-    env = os.environ.get("ORIGAMI_H2_CACHE")
-    if env:
-        return env
-    return str(Path.home() / ".cache" / "origami-h2")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="origami-h2",
         description="Primitive square-tiled surfaces in H(2): census, orbits, "
         "cusps and noncongruence certificates.",
     )
-    parser.add_argument("--cache-dir", default=None, metavar="PATH",
-                        help="orbit cache directory (default: $ORIGAMI_H2_CACHE or ~/.cache/origami-h2)")
+    parser.add_argument("--cache-dir", metavar="PATH",
+                        help="ignored: orbits are recomputed, which is faster than the "
+                        "disk cache this option used to name; kept so old command lines run")
     parser.add_argument("--max-orbit-n", type=int, default=25, metavar="N",
                         help="largest n for which orbits are computed (default 25)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -424,7 +320,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     if args.max_orbit_n < 3:
         parser.error("--max-orbit-n must be >= 3")
-    args.cache = OrbitCache(Path(args.cache_dir or _default_cache_dir()))
     return args.func(args)
 
 

@@ -20,8 +20,6 @@ from typing import NamedTuple, Optional
 from .origami_core import Origami, origami_from_key
 from .sl2_orbit import IDENTITY, Orbit, level, membership, t_power, v_power
 
-CERTIFICATE_SCHEMA_VERSION = 1
-
 
 class FactoredInteger(NamedTuple):
     """A positive integer together with its prime factorisation."""

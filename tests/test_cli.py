@@ -1,6 +1,5 @@
-"""End-to-end command-line behaviour, exit codes, and the orbit cache."""
+"""End-to-end command-line behaviour and exit codes."""
 
-import hashlib
 import json
 import os
 import re
@@ -12,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import origami_h2
-from origami_h2 import cli, sl2_orbit
+from origami_h2 import cli
 
 COUNTS_HEADER = "n,total,formula_total,a_count,a_formula,b_count,b_formula,match"
 
@@ -55,6 +54,15 @@ class TestCounts:
         assert out == ""
         assert "invalid range" in err
 
+    def test_rejects_n_above_limit(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"enumerated {args} despite the size limit")
+
+        monkeypatch.setattr(cli, "verify_counts", refuse)
+        rc, out, err = run(capsys, "--cache-dir", str(tmp_path), "counts", "3", "101")
+        assert rc == 2
+        assert out == "" and "n_max = 101 exceeds the census limit 100" in err
+
 
 class TestOrbit:
     def test_summary_n3(self, capsys, tmp_path):
@@ -82,6 +90,13 @@ class TestOrbit:
         assert rc == 0
         doc = json.loads(out)
         assert doc["size"] == 9 and doc["level"] == 15 and doc["invariant"] == 3
+
+    def test_same_orbit_from_another_member(self, capsys):
+        # S maps L(2,4) to (a relabelling of) this two-cylinder surface, so
+        # both seeds must report the identical orbit
+        _, out1, _ = run(capsys, "orbit", "L(2,4)")
+        _, out2, _ = run(capsys, "orbit", "2cyl(3,1,1,2,0,0)")
+        assert out1 == out2
 
     def test_rejects_other_stratum(self, capsys, tmp_path):
         rc, out, err = run(
@@ -199,104 +214,21 @@ class TestVerify:
         assert "exceeds" in err
 
 
-class TestCache:
-    def orbit_files(self, cache_dir):
-        manifest = json.loads((cache_dir / "manifest.json").read_text())
-        return {e["orbit_file"] for e in manifest["entries"].values()}
+class TestNoDiskWrites:
+    COMMANDS = (["orbit", "L(2,4)"], ["noncong", "C", "4"], ["verify", "orbits", "6"])
 
-    def test_second_run_hits(self, capsys, tmp_path):
-        rc1, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        files = self.orbit_files(tmp_path)
-        assert rc1 == 0 and len(files) == 1
-        payload = (tmp_path / files.pop()).read_bytes()
+    def test_cli_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        with_flag = [run(capsys, "--cache-dir", str(tmp_path / "c"), *cmd) for cmd in self.COMMANDS]
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("ORIGAMI_H2_CACHE", str(tmp_path / "env"))
+        without = [run(capsys, *cmd) for cmd in self.COMMANDS]
+        assert [rc for rc, _, _ in with_flag] == [0, 0, 0]
+        assert with_flag == without
+        assert list(tmp_path.iterdir()) == []
 
-        rc2, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        assert rc2 == 0 and out2 == out1
-        assert (tmp_path / self.orbit_files(tmp_path).pop()).read_bytes() == payload
-
-    def test_same_orbit_different_seed(self, capsys, tmp_path):
-        # S maps L(2,4) to (a relabelling of) this two-cylinder surface, so
-        # both seeds must report the identical orbit
-        _, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        _, out2, _ = run(
-            capsys, "--cache-dir", str(tmp_path), "orbit", "2cyl(3,1,1,2,0,0)"
-        )
-        assert out1 == out2
-        assert len(self.orbit_files(tmp_path)) == 1
-
-    def test_corrupt_file_is_recomputed(self, capsys, tmp_path):
-        _, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        name = self.orbit_files(tmp_path).pop()
-        (tmp_path / name).write_bytes(b'{"schema_version": 1}')
-        rc, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        assert rc == 0 and out2 == out1
-        # the recompute healed the cache in place
-        data = (tmp_path / name).read_bytes()
-        assert b'"t_edges"' in data
-
-    def rewrite_checksummed(self, cache_dir, name, data: bytes) -> None:
-        """Replace an orbit file and re-sign it, so only its content is wrong."""
-        (cache_dir / name).write_bytes(data)
-        path = cache_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        for entry in manifest["entries"].values():
-            entry["checksum"] = hashlib.sha256(data).hexdigest()
-        path.write_text(json.dumps(manifest))
-
-    @pytest.mark.parametrize(
-        "data",
-        [b"[]", b'{"schema_version": 3, "cusps": 5}', b'{"schema_version": 3, "surfaces": null}'],
-        ids=["list", "cusps-number", "surfaces-null"],
-    )
-    def test_checksummed_malformed_file_is_recomputed(self, capsys, tmp_path, data):
-        _, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        name = self.orbit_files(tmp_path).pop()
-        payload = (tmp_path / name).read_bytes()
-        self.rewrite_checksummed(tmp_path, name, data)
-        rc, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        assert rc == 0 and out2 == out1
-        assert (tmp_path / name).read_bytes() == payload
-
-    def test_checksummed_torus_cover_text_is_recomputed(self, capsys, tmp_path, monkeypatch):
-        # a canonical text of a transitive pair outside H(2): the 5-cycle
-        # beside the identity, a torus cover with no cone point
-        _, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        name = self.orbit_files(tmp_path).pop()
-        payload = (tmp_path / name).read_bytes()
-        doc = json.loads(payload)
-        doc["surfaces"][0] = "1,2,3,4,0|0,1,2,3,4"
-        self.rewrite_checksummed(tmp_path, name, json.dumps(doc).encode())
-        rejected = []
-        real = sl2_orbit.key_from_text
-
-        def spy(text):
-            try:
-                return real(text)
-            except ValueError as exc:
-                rejected.append(str(exc))
-                raise
-
-        monkeypatch.setattr(sl2_orbit, "key_from_text", spy)
-        rc, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,4)")
-        assert rc == 0 and out2 == out1
-        assert rejected == ["text is not a surface in H(2)"]
-        assert (tmp_path / name).read_bytes() == payload
-
-    def test_schema_2_file_is_rewritten_as_schema_3(self, capsys, tmp_path, as_schema_2):
-        _, out1, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(3,4)")
-        name = self.orbit_files(tmp_path).pop()
-        payload = (tmp_path / name).read_bytes()
-        self.rewrite_checksummed(tmp_path, name, as_schema_2(payload.decode()).encode())
-        rc, out2, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(3,4)")
-        assert rc == 0 and out2 == out1
-        assert (tmp_path / name).read_bytes() == payload
-        assert json.loads(payload)["schema_version"] == 3
-
-    def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ORIGAMI_H2_CACHE", str(tmp_path / "envcache"))
-        rc, _, _ = run(capsys, "orbit", "L(2,2)")
-        assert rc == 0
-        assert (tmp_path / "envcache" / "manifest.json").exists()
+    def test_help_says_cache_dir_is_ignored(self):
+        help_text = " ".join(cli.build_parser().format_help().split())
+        assert "--cache-dir PATH ignored:" in help_text
 
 
 class TestGlobalFlags:
