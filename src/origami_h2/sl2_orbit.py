@@ -17,11 +17,22 @@ factorisation into a word in T and S.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from math import lcm
 from typing import NamedTuple
 
-from .origami_core import Origami, _inverse, canonical_key, is_primitive
+from .origami_core import (
+    Origami,
+    _inverse,
+    _key_images,
+    canonical_key,
+    is_primitive,
+    key_from_text,
+    key_to_text,
+)
+
+ORBIT_SCHEMA_VERSION = 3
 
 
 class MatrixZ(NamedTuple):
@@ -239,10 +250,113 @@ def orbit(o: Origami) -> Orbit:
                     nxt.append((ik, image))
         frontier = nxt
     # the representative is the orbit minimum, not the seed, so the result
-    # is identical no matter which member launched it
+    # (and its serialization) is identical no matter which member launched it
     return _assemble_orbit(o.n, min(seen), t_edge, s_edge)
 
 
 def level(orb: Orbit) -> int:
     """lcm of the cusp widths: the least ℓ with T^ℓ stabilising every cusp."""
     return lcm(*(c.width for c in orb.cusps))
+
+
+def validate_orbit(orb: Orbit) -> None:
+    """Check the orbit's structural invariants; raise ValueError on failure."""
+    keyset = set(orb.surfaces)
+    if len(orb.surfaces) != len(keyset):
+        raise ValueError("duplicate surfaces")
+    if orb.surfaces[:1] != (orb.base_key,):
+        raise ValueError("base key is not the orbit's canonical representative")
+    for name, edges in (("t", orb.t_edge), ("s", orb.s_edge)):
+        if set(edges) != keyset or set(edges.values()) != keyset:
+            raise ValueError(f"{name}-edges are not a permutation of the orbit")
+    if sum(c.width for c in orb.cusps) != len(orb.surfaces):
+        raise ValueError("cusp widths do not add up to the orbit size")
+    for cusp in orb.cusps:
+        cur = cusp.representative
+        for _ in range(cusp.width):
+            cur = orb.t_edge[cur]
+        if cur != cusp.representative:
+            raise ValueError("cusp width does not match its T-cycle")
+    if len(_key_images(orb.base_key)[0]) != orb.n:
+        raise ValueError("stored n disagrees with the keys")
+
+
+def orbit_to_json(orb: Orbit) -> str:
+    """Deterministic JSON form (stable ordering, no whitespace).
+
+    ``surfaces`` lists each surface's canonical text once, in key order;
+    ``t_edges``, ``s_edges`` and each cusp's ``rep`` are positions in it.
+    """
+    position = {k: i for i, k in enumerate(orb.surfaces)}
+    doc = {
+        "schema_version": ORBIT_SCHEMA_VERSION,
+        "n": orb.n,
+        "base_key": key_to_text(orb.base_key),
+        "surfaces": [key_to_text(k) for k in orb.surfaces],
+        "t_edges": [position[orb.t_edge[k]] for k in orb.surfaces],
+        "s_edges": [position[orb.s_edge[k]] for k in orb.surfaces],
+        "cusps": [
+            {"rep": position[c.representative], "width": c.width} for c in orb.cusps
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _field(doc: dict, name: str, kind: type):
+    value = doc.get(name)
+    if type(value) is not kind:
+        raise ValueError(f"orbit field {name!r} is not a {kind.__name__}")
+    return value
+
+
+def _index(value, size: int) -> int:
+    # bool is an int subclass, so the type is compared exactly
+    if type(value) is not int or not 0 <= value < size:
+        raise ValueError(f"{value!r} is not an index into the surface list")
+    return value
+
+
+def orbit_from_json(text: str) -> Orbit:
+    """Parse and fully re-validate an orbit document.
+
+    Every surface text is checked once to be the canonical form of a valid
+    surface; edges and cusp representatives must be plain in-range indices.
+    Any malformed document raises ValueError.
+    """
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("orbit document nests too deeply") from exc
+    if type(doc) is not dict:
+        raise ValueError("orbit document is not a JSON object")
+    if doc.get("schema_version") != ORBIT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported orbit schema: {doc.get('schema_version')!r}")
+    texts = _field(doc, "surfaces", list)
+    if not all(type(t) is str for t in texts):
+        raise ValueError("surface texts must be strings")
+    surfaces = [key_from_text(t) for t in texts]
+    size = len(surfaces)
+    if len(set(surfaces)) != size:
+        raise ValueError("duplicate surfaces")
+
+    def resolve(name: str) -> dict:
+        targets = [_index(i, size) for i in _field(doc, f"{name}_edges", list)]
+        if len(targets) != size:
+            raise ValueError("edge arrays do not match the surface list")
+        # checked before assembly, which walks T-cycles and needs a bijection
+        if len(set(targets)) != size:
+            raise ValueError(f"{name}-edges are not a permutation of the orbit")
+        return {k: surfaces[i] for k, i in zip(surfaces, targets)}
+
+    t_edge, s_edge = resolve("t"), resolve("s")
+    base_key = key_from_text(_field(doc, "base_key", str))
+    orb = _assemble_orbit(_field(doc, "n", int), base_key, t_edge, s_edge)
+    stored = []
+    for cusp in _field(doc, "cusps", list):
+        if type(cusp) is not dict or type(cusp.get("width")) is not int:
+            raise ValueError("malformed cusp entry")
+        stored.append(CuspData(surfaces[_index(cusp.get("rep"), size)], cusp["width"]))
+    if stored != list(orb.cusps):
+        raise ValueError("stored cusps disagree with the edge structure")
+    validate_orbit(orb)
+    return orb
