@@ -153,13 +153,14 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_noncong(args: argparse.Namespace) -> int:
+    # the size bound is checked before the seed of size n is built
+    if args.n > args.max_orbit_n:
+        print(f"n = {args.n} exceeds --max-orbit-n = {args.max_orbit_n}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         o = seed_surface(args.label, args.n)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    if args.n > args.max_orbit_n:
-        print(f"n = {args.n} exceeds --max-orbit-n = {args.max_orbit_n}", file=sys.stderr)
         return EXIT_USAGE
     orb = orbit(o)
     cert = noncongruence_search(orb)

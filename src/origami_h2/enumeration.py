@@ -12,11 +12,11 @@ is swept in cylinder coordinates:
 
 Primitivity in coordinates is gcd(h1,h2) = 1 together with
 gcd(gcd(w1,w2), h2·t1 − h1·t2) = 1 (one-cylinder: gcd(l1,l2,l3) = 1), which
-is the holonomy-lattice test specialised to the builders.  Enumeration
+is the lattice-index test specialised to the builders.  Enumeration
 re-checks every built origami: its cylinder decomposition must give back the
 enumerated tuple (a one-cylinder tuple is kept only as the least of its
 rotations, which is what the decomposition returns), and that diagram's
-holonomy lattice must be all of Z².
+lattice index must be 1.
 
 Counting is done in the same coordinates: per two-cylinder shape the number
 of primitive twist pairs is w1·w2·φ(g)/g with g = gcd(w1,w2), and the odd-n
@@ -38,11 +38,11 @@ from .origami_core import (
     OneCylinder,
     Origami,
     TwoCylinder,
-    _diagram_lattice,
     build_one_cylinder,
     build_two_cylinder,
     canonical_key,
     cylinder_decomposition,
+    lattice_index,
 )
 
 
@@ -107,9 +107,9 @@ def _compositions3(n: int) -> Iterator[tuple]:
 def _check_candidate(o: Origami, diag: CylinderDiagram) -> None:
     """Raise unless ``o`` decomposes back into ``diag`` and is primitive."""
     found = cylinder_decomposition(o)
-    det = _diagram_lattice(found).determinant
-    if found != diag or det != 1:
-        raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {det}")
+    index = lattice_index(found)
+    if found != diag or index != 1:
+        raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {index}")
 
 
 def enumerate_primitive(n: int) -> set:

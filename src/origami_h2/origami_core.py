@@ -9,8 +9,9 @@ their commutator is a 3-cycle fixing the other n-3 squares.
 Every H(2) origami decomposes into one or two horizontal cylinders.  This
 module holds the combinatorial surface type, the builders for both cylinder
 shapes, the inverse decomposition, canonical forms (for orbit bookkeeping),
-the primitivity test through the holonomy lattice, and the count of integer
-Weierstrass points that separates the two odd-n orbit classes.
+the primitivity test through the lattice index of the relative periods, and
+the count of integer Weierstrass points that separates the two odd-n orbit
+classes.
 
 Conventions used throughout (all anchored by tests):
 
@@ -74,18 +75,6 @@ CylinderDiagram = Union[OneCylinder, TwoCylinder]
 
 class InvalidSurfaceError(ValueError):
     """Well-formed surface description that violates a geometric constraint."""
-
-
-class HolonomyLattice(NamedTuple):
-    """Upper-triangular normal form [[a, b], [0, c]] of a rank-2 sublattice of Z^2."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def determinant(self) -> int:
-        return self.a * self.c
 
 
 def _inverse(p: tuple) -> tuple:
@@ -265,12 +254,11 @@ class MalformedSurfaceError(RuntimeError):
     """Horizontal decomposition did not produce one or two cylinders."""
 
 
-def cylinder_decomposition(o: Origami, direction: str = "horizontal") -> CylinderDiagram:
-    """The cylinder diagram of ``o`` in the given direction.
+def cylinder_decomposition(o: Origami) -> CylinderDiagram:
+    """The horizontal cylinder diagram of ``o``, read straight off the rows.
 
-    Horizontal decomposition reads the diagram straight off the rows; the
-    vertical one is the horizontal decomposition of the quarter-turned
-    surface.  Raises ValueError for a surface outside H(2) and
+    The vertical diagram is the decomposition of the quarter-turned surface
+    (``sl2_orbit.apply_S``).  Raises ValueError for a surface outside H(2) and
     MalformedSurfaceError for a flat torus or a cylinder count other than
     1 or 2, which cannot happen in H(2).
 
@@ -281,10 +269,6 @@ def cylinder_decomposition(o: Origami, direction: str = "horizontal") -> Cylinde
     array.  Everything else is read off by climbing single columns from the
     bottom squares up(q) to the next top row, so the cost is O(n).
     """
-    if direction == "vertical":
-        return cylinder_decomposition(_quarter_turn(o), "horizontal")
-    if direction != "horizontal":
-        raise ValueError(f"unknown direction {direction!r}")
     r, u = o.right, o.up
     corners = _corners(r, u)
     if not corners:
@@ -365,11 +349,6 @@ def _two_cylinder_diagram(u, breaks, row_of, pos, widths) -> TwoCylinder:
     else:
         raise MalformedSurfaceError("the wide cylinder does not glue into the narrow one")
     return TwoCylinder(h1, h2, w1, w2, (pos[q1] - pos[a1]) % w1, (pos[q2] - pos[a2]) % w2)
-
-
-def _quarter_turn(o: Origami) -> Origami:
-    # the vertical structure of o is the horizontal structure of (up, right^-1)
-    return Origami(o.up, _inverse(o.right), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -484,61 +463,23 @@ def key_from_text(text: str) -> bytes:
 # primitivity
 
 
-def holonomy_lattice(o: Origami) -> HolonomyLattice:
-    """Normal form of the lattice spanned by the surface's relative periods.
+def lattice_index(diag: CylinderDiagram) -> int:
+    """Index in Z² of the lattice spanned by the diagram's relative periods.
 
-    Generated by (gcd of horizontal saddle lengths, 0) together with one
-    crossing vector (t_i, h_i) per cylinder; column-reduced to an
-    upper-triangular basis.
+    The periods are generated by (gcd of the horizontal saddle lengths, 0)
+    and one crossing vector (t_i, h_i) per cylinder, and the index of the
+    lattice they span is the gcd of their 2×2 minors.
     """
-    return _diagram_lattice(cylinder_decomposition(o))
-
-
-def _diagram_lattice(diag: CylinderDiagram) -> HolonomyLattice:
     if isinstance(diag, OneCylinder):
-        g = gcd(diag.l1, gcd(diag.l2, diag.l3))
-        gens = [(g, 0), (diag.t, diag.h)]
-    else:
-        gens = [
-            (gcd(diag.w1, diag.w2), 0),
-            (diag.t1, diag.h1),
-            (diag.t2, diag.h2),
-        ]
-    return _lattice_normal_form(gens)
-
-
-def _lattice_normal_form(gens) -> HolonomyLattice:
-    # integer column reduction of a 2 x k generator matrix
-    c = 0
-    b = 0
-    rest = []
-    for (x, y) in gens:
-        if y:
-            if c:
-                # combine (b, c) and (x, y) into one vector with gcd y-part;
-                # the vector left with y = 0 still carries lattice content
-                while y:
-                    q = c // y
-                    b, c, x, y = x, y, b - q * x, c - q * y
-                rest.append(x)
-            else:
-                b, c = x, y
-        else:
-            rest.append(x)
-    a = 0
-    for x in rest:
-        a = gcd(a, x)
-    if c < 0:
-        b, c = -b, -c
-    if a == 0 or c == 0:
-        raise ValueError("holonomy generators do not span a rank-2 lattice")
-    b %= a
-    return HolonomyLattice(a, b, c)
+        return gcd(diag.l1, diag.l2, diag.l3) * diag.h
+    h1, h2, w1, w2, t1, t2 = diag
+    g = gcd(w1, w2)
+    return gcd(g * h1, g * h2, t1 * h2 - t2 * h1)
 
 
 def is_primitive(o: Origami) -> bool:
     """True iff the relative periods span all of Z² (no torus factorisation)."""
-    return holonomy_lattice(o).determinant == 1
+    return lattice_index(cylinder_decomposition(o)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +499,7 @@ def integer_weierstrass_count(o: Origami) -> int:
     if o.n % 2 == 0:
         raise ValueError("invariant is defined for odd square counts only")
     diag = cylinder_decomposition(o)
-    if _diagram_lattice(diag).determinant != 1:
+    if lattice_index(diag) != 1:
         raise ValueError("invariant requires a primitive surface")
     points = _weierstrass_points_doubled(diag)
     if len(points) != 6:
@@ -614,34 +555,6 @@ def _cycles_str(p) -> str:
             x = p[x]
         parts.append("(" + " ".join(str(v + 1) for v in cyc) + ")")
     return "".join(parts)
-
-
-def origami_to_text(o: Origami) -> str:
-    """Two lines of cycle notation (1-based), fixed points written as singletons."""
-    return f"r={_cycles_str(o.right)}\nu={_cycles_str(o.up)}"
-
-
-def _parse_cycles(s: str, n: int) -> tuple:
-    p = list(range(n))
-    for group in re.findall(r"\(([^()]*)\)", s):
-        vals = [int(v) - 1 for v in group.split()]
-        if any(v < 0 or v >= n for v in vals):
-            raise ValueError("cycle entry out of range")
-        for i in range(len(vals)):
-            p[vals[i]] = vals[(i + 1) % len(vals)]
-    return tuple(p)
-
-
-def origami_from_text(text: str) -> Origami:
-    """Inverse of :func:`origami_to_text`; n is the largest symbol mentioned."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("r=") or not lines[1].startswith("u="):
-        raise ValueError("expected lines 'r=<cycles>' and 'u=<cycles>'")
-    symbols = [int(v) for ln in lines for v in re.findall(r"\d+", ln)]
-    if not symbols:
-        raise ValueError("no squares mentioned")
-    n = max(symbols)
-    return Origami(_parse_cycles(lines[0][2:], n), _parse_cycles(lines[1][2:], n))
 
 
 def format_diagram(diag: CylinderDiagram) -> str:

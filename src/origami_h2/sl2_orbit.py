@@ -239,7 +239,6 @@ def orbit(o: Origami) -> Orbit:
     frontier = [(base, o)]
     seen = {base}
     while frontier:
-        frontier.sort(key=lambda item: item[0])
         nxt = []
         for key, surf in frontier:
             for edges, image in ((t_edge, apply_T(surf)), (s_edge, apply_S(surf))):

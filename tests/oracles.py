@@ -277,6 +277,26 @@ def sublattice_is_primitive(o: Origami) -> bool:
     return True
 
 
+def sublattice_index(o: Origami) -> int:
+    """Index in Z^2 of the lattice the generators span, found by search.
+
+    Every sublattice of Z^2 that contains the generators contains their
+    span, so its index divides the span's.  The span's index is therefore
+    the largest d <= n for which some normal form [[a, b], [0, c]] with
+    a*c = d and 0 <= b < a contains every generator.
+    """
+    gens = holonomy_generators(o)
+    for d in range(o.n, 0, -1):
+        for a in range(1, d + 1):
+            if d % a:
+                continue
+            c = d // a
+            for b in range(a):
+                if all(y % c == 0 and (x - b * (y // c)) % a == 0 for x, y in gens):
+                    return d
+    raise AssertionError("the generators span no sublattice of index <= n")
+
+
 # ---------------------------------------------------------------------------
 # integer Weierstrass points via the hyperelliptic involution
 

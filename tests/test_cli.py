@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,6 +16,8 @@ import origami_h2
 from origami_h2 import cli
 
 COUNTS_HEADER = "n,total,formula_total,a_count,a_formula,b_count,b_formula,match"
+
+NAMED_ORBITS_GOLDEN = Path(__file__).resolve().parent / "golden" / "named_orbits.json"
 
 
 def run(capsys, *argv):
@@ -163,10 +167,41 @@ class TestNoncong:
         assert rc == 2
         assert "exceeds" in err
 
+    def test_orbit_bound_checked_before_building(self, capsys, monkeypatch):
+        def refuse(label, n):
+            raise AssertionError(f"built the {label}_{n} seed despite the size bound")
+
+        monkeypatch.setattr(cli, "seed_surface", refuse)
+        rc, out, err = run(capsys, "noncong", "A", "300001")
+        assert rc == 2
+        assert out == "" and "n = 300001 exceeds --max-orbit-n = 25" in err
+
     def test_unknown_label_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["--cache-dir", str(tmp_path), "noncong", "D", "5"])
         assert exc_info.value.code == 2
+
+
+def named_orbit_outputs(n_max=21):
+    """stdout of ``orbit <seed>`` and ``noncong <label> <n>`` per named orbit."""
+    outputs = {}
+    for n in range(3, n_max + 1):
+        labels = "C" if n % 2 == 0 else "A" if n == 3 else "AB"
+        for label in labels:
+            seed = f"L(3,{n - 2})" if label == "B" else f"L(2,{n - 1})"
+            for argv in (["orbit", seed], ["noncong", label, str(n)]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    cli.main(argv)
+                outputs[" ".join(argv)] = out.getvalue()
+    return outputs
+
+
+def test_named_orbits_match_golden():
+    # regenerate with: PYTHONPATH=src python3 tests/test_cli.py
+    golden = json.loads(NAMED_ORBITS_GOLDEN.read_text())
+    assert len(golden) == 56
+    assert named_orbit_outputs() == golden
 
 
 class TestBadcases:
@@ -287,3 +322,8 @@ def test_console_script_installed(tmp_path):
 )
 def test_installed_executable_on_path():
     assert_help_lists_commands(shutil.which("origami-h2"))
+
+
+if __name__ == "__main__":
+    NAMED_ORBITS_GOLDEN.parent.mkdir(exist_ok=True)
+    NAMED_ORBITS_GOLDEN.write_text(json.dumps(named_orbit_outputs(), indent=1) + "\n")

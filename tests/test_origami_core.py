@@ -11,6 +11,7 @@ from oracles import (
     pair_masks,
     reference_one_cylinder,
     reference_two_cylinder,
+    sublattice_index,
 )
 from origami_h2 import origami_core
 from origami_h2.origami_core import (
@@ -29,15 +30,13 @@ from origami_h2.origami_core import (
     commutator,
     cylinder_decomposition,
     format_diagram,
-    holonomy_lattice,
     in_h2,
     integer_weierstrass_count,
     is_primitive,
     key_from_text,
     key_to_text,
+    lattice_index,
     origami_from_key,
-    origami_from_text,
-    origami_to_text,
     parse_diagram,
     relabel,
 )
@@ -158,11 +157,11 @@ class TestOrigamiValidation:
 
 class TestDecomposition:
     def test_l24_horizontal_diagram(self):
-        diag = cylinder_decomposition(build_l_shape(2, 4), "horizontal")
+        diag = cylinder_decomposition(build_l_shape(2, 4))
         assert diag == TwoCylinder(1, 1, 1, 4, 0, 0)
 
     def test_l24_vertical_diagram(self):
-        diag = cylinder_decomposition(build_l_shape(2, 4), "vertical")
+        diag = cylinder_decomposition(quarter_turn(build_l_shape(2, 4)))
         assert diag == TwoCylinder(3, 1, 1, 2, 0, 0)
 
     def test_one_cylinder_diagram(self):
@@ -200,7 +199,7 @@ class TestDecomposition:
 
     def test_vertical_of_one_cylinder_surface(self):
         # (1, n-3, 2) is one-cylinder in both directions
-        diag = cylinder_decomposition(build_one_cylinder(1, 6, 2, 0, 1), "vertical")
+        diag = cylinder_decomposition(quarter_turn(build_one_cylinder(1, 6, 2, 0, 1)))
         assert isinstance(diag, OneCylinder)
 
 
@@ -213,7 +212,7 @@ class TestDecompositionOracles:
                 key = canonical_key(o)
                 assert canonical_key(build_from_diagram(cylinder_decomposition(o))) == key
                 turned = quarter_turn(o)
-                vertical = cylinder_decomposition(o, "vertical")
+                vertical = cylinder_decomposition(turned)
                 assert canonical_key(build_from_diagram(vertical)) == canonical_key(turned)
 
     def test_recovers_every_relabelled_tuple(self):
@@ -255,9 +254,9 @@ class TestDecompositionOracles:
                         (MalformedSurfaceError, "flat torus") if moved == 0
                         else (ValueError, "not in H\\(2\\)")
                     )
-                    for direction in ("horizontal", "vertical"):
+                    for surface in (o, quarter_turn(o)):
                         with pytest.raises(error, match=match):
-                            cylinder_decomposition(o, direction)
+                            cylinder_decomposition(surface)
 
     def test_in_h2_is_the_commutator_definition(self):
         # every transitive pair with n <= 6, against the 3-cycle definition
@@ -424,12 +423,12 @@ class TestPrimitivity:
     def test_even_heights_not_primitive(self):
         o = build_two_cylinder(2, 2, 2, 4, 0, 0)
         assert not is_primitive(o)
-        assert holonomy_lattice(o).determinant == 4
+        assert lattice_index(cylinder_decomposition(o)) == 4
 
     def test_horizontal_gcd_not_primitive(self):
         o = build_one_cylinder(2, 2, 2, 0, 1)
         assert not is_primitive(o)
-        assert holonomy_lattice(o).determinant == 2
+        assert lattice_index(cylinder_decomposition(o)) == 2
 
     def test_tall_one_cylinder_not_primitive(self):
         assert not is_primitive(build_one_cylinder(1, 1, 1, 0, 2))
@@ -438,6 +437,16 @@ class TestPrimitivity:
         # heights (2,2) are never primitive; heights (1,2) depend on twists
         assert is_primitive(build_two_cylinder(1, 2, 2, 4, 0, 1))
         assert not is_primitive(build_two_cylinder(1, 2, 2, 4, 0, 0))
+
+    def test_lattice_index_matches_sublattice_search(self):
+        # every H(2) surface with n <= 10, imprimitive ones included
+        imprimitive = 0
+        for n in range(3, 11):
+            for o in all_h2_surfaces(n):
+                index = lattice_index(cylinder_decomposition(o))
+                assert index == sublattice_index(o), o
+                imprimitive += index > 1
+        assert imprimitive
 
 
 class TestWeierstrassCount:
@@ -503,10 +512,5 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_diagram("hexagon(1,2,3)")
 
-    def test_cycle_notation_round_trip(self):
-        for o in (build_l_shape(2, 4), build_one_cylinder(1, 6, 2, 3, 1)):
-            assert origami_from_text(origami_to_text(o)) == o
-
-    def test_cycle_notation_is_one_based(self):
-        text = origami_to_text(build_l_shape(2, 2))
-        assert text.splitlines()[0] == "r=(1 2)(3)"
+    def test_repr_is_one_based_cycles(self):
+        assert repr(build_l_shape(2, 2)) == "Origami((1 2)(3), (1 3)(2))"
