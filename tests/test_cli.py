@@ -17,7 +17,9 @@ from origami_h2 import cli
 
 COUNTS_HEADER = "n,total,formula_total,a_count,a_formula,b_count,b_formula,match"
 
-NAMED_ORBITS_GOLDEN = Path(__file__).resolve().parent / "golden" / "named_orbits.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+NAMED_ORBITS_GOLDEN = GOLDEN_DIR / "named_orbits.json"
+COUNTS_GOLDEN = GOLDEN_DIR / "counts.json"
 
 
 def run(capsys, *argv):
@@ -182,6 +184,13 @@ class TestNoncong:
         assert exc_info.value.code == 2
 
 
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return out.getvalue()
+
+
 def named_orbit_outputs(n_max=21):
     """stdout of ``orbit <seed>`` and ``noncong <label> <n>`` per named orbit."""
     outputs = {}
@@ -190,11 +199,14 @@ def named_orbit_outputs(n_max=21):
         for label in labels:
             seed = f"L(3,{n - 2})" if label == "B" else f"L(2,{n - 1})"
             for argv in (["orbit", seed], ["noncong", label, str(n)]):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    cli.main(argv)
-                outputs[" ".join(argv)] = out.getvalue()
+                outputs[" ".join(argv)] = stdout_of(argv)
     return outputs
+
+
+def counts_outputs():
+    """stdout of ``counts 3 25`` in csv and in json."""
+    argvs = (["--format", fmt, "counts", "3", "25"] for fmt in ("csv", "json"))
+    return {" ".join(argv): stdout_of(argv) for argv in argvs}
 
 
 def test_named_orbits_match_golden():
@@ -202,6 +214,11 @@ def test_named_orbits_match_golden():
     golden = json.loads(NAMED_ORBITS_GOLDEN.read_text())
     assert len(golden) == 56
     assert named_orbit_outputs() == golden
+
+
+def test_counts_match_golden():
+    # regenerate with: PYTHONPATH=src python3 tests/test_cli.py
+    assert counts_outputs() == json.loads(COUNTS_GOLDEN.read_text())
 
 
 class TestBadcases:
@@ -325,5 +342,6 @@ def test_installed_executable_on_path():
 
 
 if __name__ == "__main__":
-    NAMED_ORBITS_GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN_DIR.mkdir(exist_ok=True)
     NAMED_ORBITS_GOLDEN.write_text(json.dumps(named_orbit_outputs(), indent=1) + "\n")
+    COUNTS_GOLDEN.write_text(json.dumps(counts_outputs(), indent=1) + "\n")

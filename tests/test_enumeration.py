@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import involution_weierstrass_count
 from origami_h2 import enumeration
 from origami_h2.enumeration import (
     classify,
@@ -12,12 +13,7 @@ from origami_h2.enumeration import (
     total_count_with_imprimitive,
     verify_counts,
 )
-from origami_h2.origami_core import (
-    in_h2,
-    integer_weierstrass_count,
-    is_primitive,
-    origami_from_key,
-)
+from origami_h2.origami_core import in_h2, is_primitive, origami_from_key
 
 
 class TestFormulas:
@@ -114,12 +110,13 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(n)
 
-    def test_split_agrees_with_invariant(self, enum_keys):
-        # recount n=7 straight from the definition on every surface
+    @pytest.mark.parametrize("n", [7, 9, 11])
+    def test_split_agrees_with_invariant(self, enum_keys, n):
+        # recount straight from the involution's fixed vertices on every surface
         by_invariant = {1: 0, 3: 0}
-        for key in enum_keys(7):
-            by_invariant[integer_weierstrass_count(origami_from_key(key))] += 1
-        rep = classify(7)
+        for key in enum_keys(n):
+            by_invariant[involution_weierstrass_count(origami_from_key(key))] += 1
+        rep = classify(n)
         assert by_invariant == {1: rep.a_count, 3: rep.b_count}
 
     def test_match_is_a_real_comparison(self):

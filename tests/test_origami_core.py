@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_permutations,
     all_starts_key,
+    involution_weierstrass_count,
     pair_masks,
     reference_one_cylinder,
     reference_two_cylinder,
@@ -482,6 +483,16 @@ class TestWeierstrassCount:
         except ValueError:
             pass  # the imprimitive surface is rejected after the same one decomposition
         assert len(calls) == 1
+
+    def test_matches_involution_oracle(self, enum_keys):
+        # the oracle counts fixed vertices of the square involution directly
+        checked = 0
+        for n in range(5, 16, 2):
+            for key in enum_keys(n):
+                o = origami_from_key(key)
+                assert integer_weierstrass_count(o) == involution_weierstrass_count(o), o
+                checked += 1
+        assert checked == 2340
 
     def test_impossible_count_raises(self, monkeypatch):
         # six lattice points would contradict the 1-or-3 theorem; the check
