@@ -33,10 +33,9 @@ from .origami_core import (
     Origami,
     build_from_diagram,
     build_l_shape,
-    in_h2,
     integer_weierstrass_count,
-    is_primitive,
     key_to_text,
+    lattice_index,
     origami_from_key,
     parse_diagram,
 )
@@ -95,28 +94,14 @@ def cmd_counts(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = {
             "schema_version": SUMMARY_SCHEMA_VERSION,
-            "reports": [
-                {
-                    "n": r.n,
-                    "total": r.total,
-                    "formula_total": r.formula_total,
-                    "a_count": r.a_count,
-                    "a_formula": r.a_formula,
-                    "b_count": r.b_count,
-                    "b_formula": r.b_formula,
-                    "one_cylinder": r.one_cylinder,
-                    "two_cylinder": r.two_cylinder,
-                    "match": r.match,
-                }
-                for r in reports
-            ],
+            "reports": [{**r._asdict(), "match": r.match} for r in reports],
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         print(COUNTS_CSV_HEADER)
         for r in reports:
-            cells = [r.n, r.total, r.formula_total, r.a_count, r.a_formula, r.b_count, r.b_formula]
-            row = ["" if c is None else str(c) for c in cells]
+            # the header's columns before "match" are the report's first seven fields
+            row = ["" if c is None else str(c) for c in r[:7]]
             row.append("true" if r.match else "false")
             print(",".join(row))
     return EXIT_OK if all(r.match for r in reports) else EXIT_FAILED
@@ -135,10 +120,12 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     if diag.n > args.max_orbit_n:
         print(f"n = {diag.n} exceeds --max-orbit-n = {args.max_orbit_n}", file=sys.stderr)
         return EXIT_USAGE
-    o = build_from_diagram(diag)
-    if not in_h2(o) or not is_primitive(o):
+    # every parsed diagram builds a surface in H(2); primitivity is read off
+    # the diagram, so an imprimitive one is never built
+    if lattice_index(diag) != 1:
         print("surface is not a primitive H(2) origami", file=sys.stderr)
         return EXIT_BAD_SURFACE
+    o = build_from_diagram(diag)
     orb = orbit(o)
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,

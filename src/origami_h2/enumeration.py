@@ -20,9 +20,9 @@ lattice index must be 1.
 
 Counting is done in the same coordinates: per two-cylinder shape the number
 of primitive twist pairs is w1·w2·φ(g)/g with g = gcd(w1,w2), and the odd-n
-split by integer Weierstrass count reduces to parities of widths and twists,
-with only two shape families needing an explicit twist sweep.  The closed
-formulas being verified: with P(n) = n²∏_{p|n}(1−1/p²),
+split by integer Weierstrass count applies :func:`weierstrass_count` once
+per shape, with no twist sweep (see :func:`_classify_two_cylinder`).  The
+closed formulas being verified: with P(n) = n²∏_{p|n}(1−1/p²),
 
     total = 3(n−2)·P(n)/8,   a_n = 3(n−1)·P(n)/16,   b_n = 3(n−3)·P(n)/16.
 """
@@ -43,6 +43,7 @@ from .origami_core import (
     canonical_key,
     cylinder_decomposition,
     lattice_index,
+    weierstrass_count,
 )
 
 
@@ -187,63 +188,48 @@ def _all_odd_compositions(m: int) -> int:
 
 
 def _classify_one_cylinder(n: int) -> tuple:
-    """(a, b) surface counts among one-cylinder: invariant is 1 + #even lengths.
+    """(a, b) surface counts among one-cylinder surfaces at odd n.
 
-    With h = 1 and w = n odd, the cylinder's own fixed points never land on
-    the lattice, so only the three saddle midpoints matter: all lengths odd
-    gives 1, exactly two even gives 3.  Twists are irrelevant.
+    By :func:`weierstrass_count` a surface is in class A iff l1, l2, l3 are
+    all odd, whatever its twist.
     """
-    all_odd = sum(moebius(d) * _all_odd_compositions(n // d) for d in divisors(n))
-    total = sum(moebius(d) * comb(n // d - 1, 2) for d in divisors(n))
-    a_tuples, b_tuples = n * all_odd, n * (total - all_odd)
-    if a_tuples % 3 or b_tuples % 3:
+    all_odd = n * sum(moebius(d) * _all_odd_compositions(n // d) for d in divisors(n))
+    if all_odd % 3:
         raise ArithmeticError("rotation classes do not divide evenly")
-    return a_tuples // 3, b_tuples // 3
+    a = all_odd // 3
+    return a, count_one_cylinder(n) - a
 
 
 def _classify_two_cylinder(n: int) -> tuple:
-    """(a, b) surface counts among two-cylinder shapes at odd n.
+    """(a, b) surface counts among two-cylinder surfaces at odd n.
 
-    Doubling coordinates puts the six involution fixed points at parities
-    governed by (w, h, t) of each cylinder; for odd n the invariant collapses
-    to closed forms except when the even-height cylinder also has even width,
-    where it is 3 or 1 according to one twist's parity and the twists are
-    swept explicitly.
+    :func:`weierstrass_count` reads a twist only where a cylinder has even
+    height and even width, and then only its parity (t1, or t2 as w1 is odd
+    there).  Such a shape splits in half; every other shape takes the class
+    of its zero-twist diagram.
+
+    Lemma: if h1 and w1 are even, t1 is even in exactly half of the
+    primitive pairs (likewise t2 if h2 and w2 are even).  Proof: odd n makes
+    g = gcd(w1, w2) odd, so d = gcd(h1, g) is odd and 2d divides w1.  As t2
+    sweeps [0, w2), h1·t2 covers the multiples of d mod g evenly, so the
+    number of primitive pairs at a given t1 is a constant times
+    [gcd(t1, d) = 1], since gcd(h2, d) = 1.  By CRT each block of 2d
+    consecutive t1 holds φ(d) even and φ(d) odd ones coprime to d.
     """
     a = b = 0
     for h1, h2, w1, w2 in _two_cylinder_shapes(n):
         if gcd(h1, h2) != 1:
             continue
         pairs = _primitive_twist_pairs(h1, h2, w1, w2)
-        g = gcd(w1, w2)
-        if h1 % 2 and h2 % 2:
-            # odd n forces w1 + w2 odd: the self-glued saddle midpoint is the
-            # only candidate besides the zero, and it is never integral
+        if h1 % 2 == w1 % 2 == 0 or h2 % 2 == w2 % 2 == 0:
+            if pairs % 2:
+                raise ArithmeticError(f"odd twist-parity split at {(h1, h2, w1, w2)}")
+            a += pairs // 2
+            b += pairs // 2
+        elif weierstrass_count(TwoCylinder(h1, h2, w1, w2, 0, 0)) == 1:
             a += pairs
-        elif h1 % 2 == 0:
-            # h2, w2 odd; the narrow cylinder's circle points decide
-            if w1 % 2:
-                b += pairs
-            else:
-                for t1 in range(w1):
-                    c = h2 * t1
-                    hits = sum(1 for t2 in range(w2) if gcd(g, c - h1 * t2) == 1)
-                    if t1 % 2 == 0:
-                        b += hits
-                    else:
-                        a += hits
         else:
-            # h1, w1 odd, h2 even; the wide cylinder's circle points decide
-            if w2 % 2:
-                b += pairs
-            else:
-                for t2 in range(w2):
-                    c = h1 * t2
-                    hits = sum(1 for t1 in range(w1) if gcd(g, h2 * t1 - c) == 1)
-                    if t2 % 2:
-                        b += hits
-                    else:
-                        a += hits
+            b += pairs
     return a, b
 
 
@@ -254,11 +240,8 @@ def classify(n: int) -> CountReport:
     a1, b1 = _classify_one_cylinder(n)
     a2, b2 = _classify_two_cylinder(n)
     a, b = a1 + a2, b1 + b2
-    one, two = a1 + b1, a2 + b2
-    if one != count_one_cylinder(n) or two != count_two_cylinder(n):
-        raise AssertionError(f"parity split lost surfaces at n={n}")
     a_f, b_f = formula_split(n)
-    return CountReport(n, a + b, formula_total(n), a, a_f, b, b_f, one, two)
+    return CountReport(n, a + b, formula_total(n), a, a_f, b, b_f, a1 + b1, a2 + b2)
 
 
 def verify_counts(n_min: int, n_max: int) -> list:

@@ -9,9 +9,9 @@ their commutator is a 3-cycle fixing the other n-3 squares.
 Every H(2) origami decomposes into one or two horizontal cylinders.  This
 module holds the combinatorial surface type, the builders for both cylinder
 shapes, the inverse decomposition, canonical forms (for orbit bookkeeping),
-the primitivity test through the lattice index of the relative periods, and
-the count of integer Weierstrass points that separates the two odd-n orbit
-classes.
+and two rules read off the cylinder diagram: the lattice index of the
+relative periods (primitivity) and, by parities alone, the count of integer
+Weierstrass points that separates the two odd-n orbit classes.
 
 Conventions used throughout (all anchored by tests):
 
@@ -486,53 +486,44 @@ def is_primitive(o: Origami) -> bool:
 # Weierstrass invariant
 
 
+def weierstrass_count(diag: CylinderDiagram) -> int:
+    """Integer Weierstrass points of a primitive diagram with odd n: 1 or 3.
+
+    The hyperelliptic involution fixes six points: the cone point, two on
+    each core curve (doubled x = c and c + w, at half height) and the
+    midpoints of the saddle connections it maps to themselves.  One is a
+    vertex iff its doubled coordinates are even.  One cylinder: h = 1 keeps
+    the core points off the lattice, and a bottom saddle of length l has its
+    midpoint at doubled x = 2·start + l.  Two cylinders: c is t1 for the
+    narrow cylinder and w1 + t2 for the wide one, whose self-glued top saddle
+    has doubled x = 2·t2 + w1 + w2.  Core points count only on an
+    even-height cylinder, and the heights are coprime.  Both odd forces
+    w1 + w2 odd: 1.  Else take (w, c) of the even-height cylinder; the other
+    has odd width, so the saddle counts iff w is odd, and then so does
+    exactly one core point: 3.  For even w both core points count iff c is
+    even.
+    """
+    if isinstance(diag, OneCylinder):
+        return 1 + sum(1 for l in diag[:3] if l % 2 == 0)
+    h1, h2, w1, w2, t1, t2 = diag
+    if h1 % 2 and h2 % 2:
+        return 1
+    w, c = (w1, t1) if h1 % 2 == 0 else (w2, w1 + t2)
+    return 3 if w % 2 or c % 2 == 0 else 1
+
+
 def integer_weierstrass_count(o: Origami) -> int:
     """Number of fixed points of the hyperelliptic involution at square vertices.
 
-    The involution has six fixed points: the cone point, two on each
-    cylinder's mid-height circle, and the midpoint of each saddle connection
-    the involution fixes.  All six are enumerated with doubled coordinates
-    (2x, 2y), which stay integral; a fixed point sits on the integer lattice
-    iff both doubled coordinates are even.  For odd n the count is 1 or 3 and
-    separates the two orbit classes; even n is rejected.
+    For odd n the count is 1 or 3 and separates the two orbit classes (see
+    :func:`weierstrass_count`); even n and imprimitive surfaces are rejected.
     """
     if o.n % 2 == 0:
         raise ValueError("invariant is defined for odd square counts only")
     diag = cylinder_decomposition(o)
     if lattice_index(diag) != 1:
         raise ValueError("invariant requires a primitive surface")
-    points = _weierstrass_points_doubled(diag)
-    if len(points) != 6:
-        raise MalformedSurfaceError("expected six involution fixed points")
-    count = sum(1 for (dx, dy) in points if dx % 2 == 0 and dy % 2 == 0)
-    if count not in (1, 3):
-        raise MalformedSurfaceError(f"{count} integer Weierstrass points; expected 1 or 3")
-    return count
-
-
-def _weierstrass_points_doubled(diag: CylinderDiagram) -> list:
-    """Doubled (2x, 2y) coordinates of the six hyperelliptic fixed points."""
-    if isinstance(diag, OneCylinder):
-        l1, l2, l3, t, h = diag
-        w = l1 + l2 + l3
-        return [
-            (0, 0),  # cone point (a vertex by construction)
-            (t, h), (t + w, h),  # mid-height circle, reflection centre t
-            # saddle midpoints on the bottom circle, arcs (l3, l2, l1) from t
-            (2 * t + l3, 0),
-            (2 * (t + l3) + l2, 0),
-            (2 * (t + l3 + l2) + l1, 0),
-        ]
-    h1, h2, w1, w2, t1, t2 = diag
-    return [
-        (0, 0),
-        # wide cylinder's circle: its reflection centre is w1 + t2
-        (w1 + t2, h2), (w1 + t2 + w2, h2),
-        # narrow cylinder's circle (raised by h2): centre t1
-        (t1, 2 * h2 + h1), (t1 + w1, 2 * h2 + h1),
-        # the self-glued saddle connection on the wide cylinder's top
-        (2 * t2 + w1 + w2, 2 * h2),
-    ]
+    return weierstrass_count(diag)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,15 @@ class TestOrbit:
         assert rc == 3
         assert "not a primitive" in err
 
+    def test_rejects_imprimitive_before_building(self, capsys, monkeypatch):
+        def refuse(diag):
+            raise AssertionError(f"built {diag} although it is imprimitive")
+
+        monkeypatch.setattr(cli, "build_from_diagram", refuse)
+        rc, out, err = run(capsys, "orbit", "1cyl(2,2,2;0;1)")
+        assert rc == 3
+        assert out == "" and "not a primitive" in err
+
     def test_rejects_garbage(self, capsys, tmp_path):
         rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "orbit", "wedge(1,2)")
         assert rc == 2

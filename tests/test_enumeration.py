@@ -1,5 +1,7 @@
 """Census layer: enumerator, closed-form counts, and the invariant split."""
 
+from math import gcd
+
 import pytest
 
 from oracles import involution_weierstrass_count
@@ -110,14 +112,36 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(n)
 
-    @pytest.mark.parametrize("n", [7, 9, 11])
-    def test_split_agrees_with_invariant(self, enum_keys, n):
+    def test_split_agrees_with_invariant(self, enum_keys):
         # recount straight from the involution's fixed vertices on every surface
-        by_invariant = {1: 0, 3: 0}
-        for key in enum_keys(n):
-            by_invariant[involution_weierstrass_count(origami_from_key(key))] += 1
-        rep = classify(n)
-        assert by_invariant == {1: rep.a_count, 3: rep.b_count}
+        for n in (7, 9, 11):
+            by_invariant = {1: 0, 3: 0}
+            for key in enum_keys(n):
+                by_invariant[involution_weierstrass_count(origami_from_key(key))] += 1
+            rep = classify(n)
+            assert by_invariant == {1: rep.a_count, 3: rep.b_count}, n
+
+    def test_twist_parity_halves_the_primitive_pairs(self):
+        # the lemma behind classify: where the class reads a twist's parity,
+        # exactly half of the shape's primitive pairs have that twist even
+        shapes = 0
+        for n in range(5, 100, 2):
+            for h1, h2, w1, w2 in enumeration._two_cylinder_shapes(n):
+                narrow = h1 % 2 == w1 % 2 == 0
+                if gcd(h1, h2) != 1 or not (narrow or h2 % 2 == w2 % 2 == 0):
+                    continue
+                g = gcd(w1, w2)
+                pairs = [
+                    (t1, t2)
+                    for t1 in range(w1)
+                    for t2 in range(w2)
+                    if gcd(g, h2 * t1 - h1 * t2) == 1
+                ]
+                even = sum(1 for t1, t2 in pairs if (t1 if narrow else t2) % 2 == 0)
+                assert 2 * even == len(pairs), (h1, h2, w1, w2)
+                assert len(pairs) == enumeration._primitive_twist_pairs(h1, h2, w1, w2)
+                shapes += 1
+        assert shapes == 4598
 
     def test_match_is_a_real_comparison(self):
         rep = classify(5)

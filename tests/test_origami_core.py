@@ -40,6 +40,7 @@ from origami_h2.origami_core import (
     origami_from_key,
     parse_diagram,
     relabel,
+    weierstrass_count,
 )
 
 
@@ -460,6 +461,14 @@ class TestWeierstrassCount:
     def test_one_cylinder_n9(self):
         assert integer_weierstrass_count(build_one_cylinder(1, 6, 2, 0, 1)) == 3
 
+    def test_rule_reads_the_even_cylinder_twist(self):
+        # h1 and w1 even: the narrow cylinder's twist parity decides
+        assert weierstrass_count(TwoCylinder(2, 1, 2, 5, 0, 0)) == 3
+        assert weierstrass_count(TwoCylinder(2, 1, 2, 5, 1, 0)) == 1
+        # h2 and w2 even: the wide cylinder's centre w1 + t2 decides
+        assert weierstrass_count(TwoCylinder(1, 2, 1, 4, 0, 1)) == 3
+        assert weierstrass_count(TwoCylinder(1, 2, 1, 4, 0, 0)) == 1
+
     def test_rejects_even_square_count(self):
         with pytest.raises(ValueError):
             integer_weierstrass_count(build_l_shape(2, 3))
@@ -493,13 +502,6 @@ class TestWeierstrassCount:
                 assert integer_weierstrass_count(o) == involution_weierstrass_count(o), o
                 checked += 1
         assert checked == 2340
-
-    def test_impossible_count_raises(self, monkeypatch):
-        # six lattice points would contradict the 1-or-3 theorem; the check
-        # is a raise, not an assert, so it also holds under python -O
-        monkeypatch.setattr(origami_core, "_weierstrass_points_doubled", lambda diag: [(0, 0)] * 6)
-        with pytest.raises(MalformedSurfaceError, match="6 integer Weierstrass points"):
-            integer_weierstrass_count(build_l_shape(3, 3))
 
 
 class TestSerialization:
