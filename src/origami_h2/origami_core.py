@@ -504,7 +504,7 @@ def weierstrass_count(diag: CylinderDiagram) -> int:
     even.
     """
     if isinstance(diag, OneCylinder):
-        return 1 + sum(1 for l in diag[:3] if l % 2 == 0)
+        return 1 + sum(1 for length in diag[:3] if length % 2 == 0)
     h1, h2, w1, w2, t1, t2 = diag
     if h1 % 2 and h2 % 2:
         return 1

@@ -40,7 +40,6 @@ from origami_h2.origami_core import (
     origami_from_key,
     parse_diagram,
     relabel,
-    weierstrass_count,
 )
 
 
@@ -460,14 +459,6 @@ class TestWeierstrassCount:
 
     def test_one_cylinder_n9(self):
         assert integer_weierstrass_count(build_one_cylinder(1, 6, 2, 0, 1)) == 3
-
-    def test_rule_reads_the_even_cylinder_twist(self):
-        # h1 and w1 even: the narrow cylinder's twist parity decides
-        assert weierstrass_count(TwoCylinder(2, 1, 2, 5, 0, 0)) == 3
-        assert weierstrass_count(TwoCylinder(2, 1, 2, 5, 1, 0)) == 1
-        # h2 and w2 even: the wide cylinder's centre w1 + t2 decides
-        assert weierstrass_count(TwoCylinder(1, 2, 1, 4, 0, 1)) == 3
-        assert weierstrass_count(TwoCylinder(1, 2, 1, 4, 0, 0)) == 1
 
     def test_rejects_even_square_count(self):
         with pytest.raises(ValueError):
