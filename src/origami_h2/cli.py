@@ -33,11 +33,10 @@ from .origami_core import (
     Origami,
     build_from_diagram,
     build_l_shape,
-    integer_weierstrass_count,
     key_to_text,
     lattice_index,
-    origami_from_key,
     parse_diagram,
+    weierstrass_count,
 )
 from .sl2_orbit import level, orbit
 
@@ -125,15 +124,14 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     if lattice_index(diag) != 1:
         print("surface is not a primitive H(2) origami", file=sys.stderr)
         return EXIT_BAD_SURFACE
-    o = build_from_diagram(diag)
-    orb = orbit(o)
+    orb = orbit(build_from_diagram(diag))
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "n": orb.n,
         "size": orb.index,
-        "cusp_widths": sorted(c.width for c in orb.cusps),
+        "cusp_widths": orb.cusp_widths,
         "level": level(orb),
-        "invariant": integer_weierstrass_count(o) if orb.n % 2 else None,
+        "invariant": weierstrass_count(diag) if orb.n % 2 else None,
     }
     print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK
@@ -232,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             total = count_primitive(n)
             ok = sum(sizes.values()) == total
             if len(orbits) == 2:
-                ok = ok and set(orbits["A"].surfaces).isdisjoint(orbits["B"].surfaces)
+                ok = ok and orbits["A"].diagrams.isdisjoint(orbits["B"].diagrams)
             detail = " + ".join(f"{lab}={sz}" for lab, sz in sorted(sizes.items()))
             detail = f"{detail} vs total {total}"
         elif args.suite == "levels":
@@ -246,9 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             values = {}
             ok = True
             for label, orb in orbits.items():
-                per_surface = {
-                    integer_weierstrass_count(origami_from_key(k)) for k in orb.surfaces
-                }
+                per_surface = {weierstrass_count(diag) for diag in orb.diagrams}
                 ok = ok and len(per_surface) == 1 and per_surface <= {1, 3}
                 values[label] = sorted(per_surface)
             if len(orbits) == 2:

@@ -242,18 +242,20 @@ def noncongruence_search(orb: Orbit) -> Optional[NoncongruenceCertificate]:
     passes the arithmetic obstruction yields the certificate, on the least
     key carrying that pair, after full re-verification.  The reported
     (k, k′, m, δ) is thus an invariant of the orbit, not of the key bytes.
-    None means inconclusive — the criterion is one-sided and never proves
-    congruence.
+    Pairs are read off the cylinder diagrams, so only the carriers of the
+    certifying pair are keyed.  None means inconclusive — the criterion is
+    one-sided and never proves congruence.
     """
     d = orb.index
     ell = level(orb)
-    carrier = {}
-    for key in orb.surfaces:  # sorted, so each pair keeps its least key
-        pair = (orb.cusp_width(key), orb.cusp_width(orb.s_edge[key]))
-        carrier.setdefault(pair, key)
-    for (k, k_prime), key in sorted(carrier.items()):
+    width = orb.width_of
+    carriers = {}
+    for diag, image in orb.s_next.items():
+        carriers.setdefault((width[diag], width[image]), []).append(diag)
+    for (k, k_prime), diags in sorted(carriers.items()):
         witness = index_obstruction_check(d, ell, k, k_prime)
         if witness is not None:
+            key = min(map(orb.key, diags))
             cert = NoncongruenceCertificate(
                 key, k, k_prime, d, ell, witness.m, witness.delta
             )

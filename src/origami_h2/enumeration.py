@@ -43,6 +43,7 @@ from .origami_core import (
     canonical_key,
     cylinder_decomposition,
     lattice_index,
+    least_rotation,
     weierstrass_count,
 )
 
@@ -132,15 +133,18 @@ def enumerate_primitive(n: int) -> set:
     for l1, l2, l3 in _compositions3(n):
         if gcd(gcd(l1, l2), l3) != 1:
             continue
+        # keep one tuple per rotation class; the oracle tests pin that the
+        # rotation is the full overcount.  Unless l1 = l2 = l3, the lengths
+        # alone decide which reading is least, so most compositions are
+        # skipped whole.
+        if least_rotation(OneCylinder(l1, l2, l3, 0, 1))[:3] != (l1, l2, l3):
+            continue
         for t in range(n):
-            # keep one tuple per rotation class; the oracle tests pin that the
-            # rotation (l1,l2,l3,t) ↦ (l2,l3,l1,t−2l1) is the full overcount
-            rot1 = (l2, l3, l1, (t - 2 * l1) % n)
-            rot2 = (l3, l1, l2, (t - 2 * (l1 + l2)) % n)
-            if rot1 < (l1, l2, l3, t) or rot2 < (l1, l2, l3, t):
+            diag = OneCylinder(l1, l2, l3, t, 1)
+            if l1 == l2 == l3 and least_rotation(diag) != diag:
                 continue
             o = build_one_cylinder(l1, l2, l3, t, 1)
-            _check_candidate(o, OneCylinder(l1, l2, l3, t, 1))
+            _check_candidate(o, diag)
             keys.add(canonical_key(o))
     return keys
 

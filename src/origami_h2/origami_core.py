@@ -25,8 +25,15 @@ Conventions used throughout (all anchored by tests):
 * One-cylinder coordinates ``(l1, l2, l3, t, h)``: a single cylinder of width
   w = l1+l2+l3 and height h whose top is cut at 0, l1, l1+l2 and glued to the
   bottom cut in reversed order (l3, l2, l1), shifted by the twist t.
-* The shear T = [[1,1],[0,1]] then changes each twist by the cylinder height
-  (mod the width), and S = [[0,1],[-1,0]] exchanges horizontal and vertical.
+  The same surface has three such readings, one per top cut taken as
+  position 0: (l1, l2, l3, t) ↦ (l2, l3, l1, t − 2·l1 mod w) steps to the
+  next, and the normal form is the least of the three
+  (:func:`least_rotation`).
+* The shear T = [[1,1],[0,1]] moves each twist by the cylinder's height, with
+  the sign set by the conventions above: a two-cylinder diagram takes
+  t1 + h1 (mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h (mod w)
+  and then its least rotation.  S = [[0,1],[-1,0]] exchanges horizontal and
+  vertical.
 """
 
 from __future__ import annotations
@@ -244,6 +251,24 @@ def build_l_shape(a: int, b: int) -> Origami:
     if a < 2 or b < 2:
         raise InvalidSurfaceError("L(a, b) needs a, b >= 2")
     return build_two_cylinder(a - 1, 1, 1, b, 0, 0)
+
+
+def least_rotation(diag: OneCylinder) -> OneCylinder:
+    """The normal form of a one-cylinder diagram: the least of its three readings.
+
+    Reading the top from the next cut moves the origin l1 to the right and
+    l1 to the end.  The bottom, in reversed order, then starts at its l1
+    arc, l2 + l3 past its old start, so (l1, l2, l3, t) ↦
+    (l2, l3, l1, t + (l2 + l3) − l1 ≡ t − 2·l1 mod w).  The three readings
+    are distinct tuples (2·l1 ≢ 0 mod w when l1 = l2 = l3).
+    """
+    l1, l2, l3, t, h = diag
+    w = l1 + l2 + l3
+    return min(
+        diag,
+        OneCylinder(l2, l3, l1, (t - 2 * l1) % w, h),
+        OneCylinder(l3, l1, l2, (t - 2 * (l1 + l2)) % w, h),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,33 +3,44 @@ r"""The SL(2,Z) action on origamis: shears, quarter turn, orbits and cusps.
 The generators act on the permutation pair by precomposition:
 
 * ``T = [[1,1],[0,1]]`` (horizontal shear) sends (right, up) to
-  (right, up∘right⁻¹) — on cylinder coordinates each twist gains the
-  cylinder's height, modulo its width;
+  (right, up∘right⁻¹);
 * ``S = [[0,1],[-1,0]]`` (quarter turn) sends (right, up) to (up, right⁻¹),
   exchanging the horizontal and vertical directions.
 
-Orbits of the whole group are computed by breadth-first closure under T and
-S on canonical keys.  The T-cycles of an orbit are its cusps; the cusp width
-is the cycle length and their least common multiple is the level of the
-stabiliser.  An arbitrary unimodular matrix acts through its Euclidean
-factorisation into a word in T and S.
+Orbits of the whole group are computed by closure under T and S on
+normalised cylinder diagrams, which name H(2) surfaces completely.  On
+a diagram T is twist arithmetic (:func:`shear`): a two-cylinder diagram
+takes t1 + h1 (mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h
+(mod w) and then its least rotation.  S is the decomposition of the
+quarter-turned surface, and S² = −I fixes every H(2) surface (the
+hyperelliptic involution), so one decomposition gives both S-edges of a
+pair.  The T-cycles of an orbit are its cusps; the cusp width is the cycle
+length and their least common multiple is the level of the stabiliser.  An
+arbitrary unimodular matrix acts through its Euclidean factorisation into a
+word in T and S.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .origami_core import (
+    CylinderDiagram,
+    OneCylinder,
     Origami,
+    TwoCylinder,
     _inverse,
     _key_images,
+    build_from_diagram,
     canonical_key,
-    is_primitive,
+    cylinder_decomposition,
     key_from_text,
     key_to_text,
+    lattice_index,
+    least_rotation,
 )
 
 ORBIT_SCHEMA_VERSION = 3
@@ -182,80 +193,141 @@ class CuspData(NamedTuple):
     width: int
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """A full SL(2,Z) orbit with its T/S edge structure and cusp partition."""
+def shear(diag: CylinderDiagram) -> CylinderDiagram:
+    """T on a normalised cylinder diagram: each twist moves by its height.
 
-    n: int
-    base_key: bytes
-    surfaces: tuple
-    t_edge: dict
-    s_edge: dict
-    cusps: tuple
-    width_at: dict = field(repr=False)
+    Equal to ``cylinder_decomposition(apply_T(build_from_diagram(diag)))``;
+    the sign of the one-cylinder step follows the builders' conventions.
+    """
+    if isinstance(diag, TwoCylinder):
+        h1, h2, w1, w2, t1, t2 = diag
+        return TwoCylinder(h1, h2, w1, w2, (t1 + h1) % w1, (t2 + h2) % w2)
+    l1, l2, l3, t, h = diag
+    return least_rotation(OneCylinder(l1, l2, l3, (t - h) % (l1 + l2 + l3), h))
+
+
+def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
+    """S on a normalised cylinder diagram: the decomposition of the turned surface."""
+    return cylinder_decomposition(apply_S(build_from_diagram(diag)))
+
+
+class Orbit:
+    """A full SL(2,Z) orbit with its T/S edge structure and cusp partition.
+
+    The orbit is held as its T- and S-edges on normalised cylinder diagrams
+    (``t_next``, ``s_next``).  Index, cusp widths and level are read off
+    them.  The canonical keys, and the views keyed by them (``surfaces``,
+    ``base_key``, ``t_edge``, ``s_edge``, ``cusps``, :meth:`cusp_width`),
+    are computed on first use only.
+    """
+
+    def __init__(self, n: int, t_next: dict, s_next: dict, keys: Optional[dict] = None):
+        self.n = n
+        self.t_next = t_next
+        self.s_next = s_next
+        self._keys = dict(keys or {})  # diagram -> canonical key, filled on demand
+        self.width_of = {}  # diagram -> width of its cusp
+        cycles = []
+        for diag in t_next:
+            if diag in self.width_of:
+                continue
+            cycle = [diag]
+            cur = t_next[diag]
+            while cur != diag:
+                cycle.append(cur)
+                cur = t_next[cur]
+            for d in cycle:
+                self.width_of[d] = len(cycle)
+            cycles.append(cycle)
+        self.cycles = cycles
 
     @property
     def index(self) -> int:
         """The stabiliser's index in SL(2,Z): the orbit's cardinality."""
-        return len(self.surfaces)
+        return len(self.t_next)
+
+    @property
+    def diagrams(self):
+        """The orbit's surfaces as normalised cylinder diagrams (a set-like view)."""
+        return self.t_next.keys()
+
+    @property
+    def cusp_widths(self) -> list:
+        """The T-cycle lengths, sorted."""
+        return sorted(len(cycle) for cycle in self.cycles)
+
+    def key(self, diag: CylinderDiagram) -> bytes:
+        """The canonical key of the orbit's surface ``diag``."""
+        key = self._keys.get(diag)
+        if key is None:
+            key = self._keys[diag] = canonical_key(build_from_diagram(diag))
+        return key
+
+    @cached_property
+    def surfaces(self) -> tuple:
+        """The canonical keys of the orbit, sorted."""
+        return tuple(sorted(map(self.key, self.t_next)))
+
+    @cached_property
+    def base_key(self) -> bytes:
+        """The orbit's least key, whichever member the orbit was launched from."""
+        return self.surfaces[0]
+
+    @cached_property
+    def t_edge(self) -> dict:
+        return {self.key(d): self.key(e) for d, e in self.t_next.items()}
+
+    @cached_property
+    def s_edge(self) -> dict:
+        return {self.key(d): self.key(e) for d, e in self.s_next.items()}
+
+    @cached_property
+    def cusps(self) -> tuple:
+        """One CuspData per T-cycle, sorted: least key on the cycle and its width."""
+        return tuple(sorted(CuspData(min(map(self.key, c)), len(c)) for c in self.cycles))
+
+    @cached_property
+    def _diagram_of(self) -> dict:
+        return {self.key(d): d for d in self.t_next}
 
     def cusp_width(self, key: bytes) -> int:
         """Width of the cusp whose T-cycle passes through ``key``."""
-        return self.width_at[key]
-
-
-def _assemble_orbit(n: int, base_key: bytes, t_edge: dict, s_edge: dict) -> Orbit:
-    surfaces = tuple(sorted(t_edge))
-    cusps = []
-    width_at = {}
-    placed = set()
-    for key in surfaces:
-        if key in placed:
-            continue
-        cycle = [key]
-        cur = t_edge[key]
-        while cur != key:
-            cycle.append(cur)
-            cur = t_edge[cur]
-        for k in cycle:
-            placed.add(k)
-            width_at[k] = len(cycle)
-        cusps.append(CuspData(min(cycle), len(cycle)))
-    cusps.sort()
-    return Orbit(n, base_key, surfaces, t_edge, s_edge, tuple(cusps), width_at)
+        return self.width_of[self._diagram_of[key]]
 
 
 def orbit(o: Origami) -> Orbit:
-    """Breadth-first closure of {o} under T and S, keyed canonically.
+    """Closure of {o} under T and S on normalised cylinder diagrams.
 
-    Forward images suffice: T-cycles and the order-4 action of S close on
-    themselves, so the forward closure is the full group orbit.
+    Forward images suffice: T-cycles close on themselves and S is an
+    involution on diagrams, so the forward closure is the full group orbit.
+    No canonical key is computed.
     """
-    if not is_primitive(o):
+    start = cylinder_decomposition(o)
+    if lattice_index(start) != 1:
         raise ValueError("orbit computation expects a primitive surface")
-    base = canonical_key(o)
-    t_edge = {}
-    s_edge = {}
-    frontier = [(base, o)]
-    seen = {base}
-    while frontier:
-        nxt = []
-        for key, surf in frontier:
-            for edges, image in ((t_edge, apply_T(surf)), (s_edge, apply_S(surf))):
-                ik = canonical_key(image)
-                edges[key] = ik
-                if ik not in seen:
-                    seen.add(ik)
-                    nxt.append((ik, image))
-        frontier = nxt
-    # the representative is the orbit minimum, not the seed, so the result
-    # (and its serialization) is identical no matter which member launched it
-    return _assemble_orbit(o.n, min(seen), t_edge, s_edge)
+    t_next = {}
+    s_next = {}
+    seen = {start}
+    todo = [start]
+    while todo:
+        diag = todo.pop()
+        image = t_next[diag] = shear(diag)
+        if image not in seen:
+            seen.add(image)
+            todo.append(image)
+        if diag not in s_next:
+            image = quarter_turn(diag)
+            s_next[diag] = image
+            s_next[image] = diag
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return Orbit(o.n, t_next, s_next)
 
 
 def level(orb: Orbit) -> int:
     """lcm of the cusp widths: the least ℓ with T^ℓ stabilising every cusp."""
-    return lcm(*(c.width for c in orb.cusps))
+    return lcm(*orb.cusp_widths)
 
 
 def validate_orbit(orb: Orbit) -> None:
@@ -263,8 +335,8 @@ def validate_orbit(orb: Orbit) -> None:
     keyset = set(orb.surfaces)
     if len(orb.surfaces) != len(keyset):
         raise ValueError("duplicate surfaces")
-    if orb.surfaces[:1] != (orb.base_key,):
-        raise ValueError("base key is not the orbit's canonical representative")
+    if not keyset:
+        raise ValueError("empty orbit")
     for name, edges in (("t", orb.t_edge), ("s", orb.s_edge)):
         if set(edges) != keyset or set(edges.values()) != keyset:
             raise ValueError(f"{name}-edges are not a permutation of the orbit")
@@ -320,7 +392,9 @@ def orbit_from_json(text: str) -> Orbit:
 
     Every surface text is checked once to be the canonical form of a valid
     surface; edges and cusp representatives must be plain in-range indices.
-    Any malformed document raises ValueError.
+    The edges are carried over to the surfaces' cylinder diagrams, which
+    builds the same :class:`Orbit` as :func:`orbit`.  Any malformed document
+    raises ValueError.
     """
     try:
         doc = json.loads(text)
@@ -337,6 +411,10 @@ def orbit_from_json(text: str) -> Orbit:
     size = len(surfaces)
     if len(set(surfaces)) != size:
         raise ValueError("duplicate surfaces")
+    # key_from_text has validated every key, so its surface is not re-checked
+    diagrams = [
+        cylinder_decomposition(Origami(*_key_images(k), check=False)) for k in surfaces
+    ]
 
     def resolve(name: str) -> dict:
         targets = [_index(i, size) for i in _field(doc, f"{name}_edges", list)]
@@ -345,11 +423,13 @@ def orbit_from_json(text: str) -> Orbit:
         # checked before assembly, which walks T-cycles and needs a bijection
         if len(set(targets)) != size:
             raise ValueError(f"{name}-edges are not a permutation of the orbit")
-        return {k: surfaces[i] for k, i in zip(surfaces, targets)}
+        return {d: diagrams[i] for d, i in zip(diagrams, targets)}
 
-    t_edge, s_edge = resolve("t"), resolve("s")
+    t_next, s_next = resolve("t"), resolve("s")
     base_key = key_from_text(_field(doc, "base_key", str))
-    orb = _assemble_orbit(_field(doc, "n", int), base_key, t_edge, s_edge)
+    orb = Orbit(_field(doc, "n", int), t_next, s_next, dict(zip(diagrams, surfaces)))
+    if orb.surfaces[:1] != (base_key,):
+        raise ValueError("base key is not the orbit's canonical representative")
     stored = []
     for cusp in _field(doc, "cusps", list):
         if type(cusp) is not dict or type(cusp.get("width")) is not int:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import origami_h2
-from origami_h2 import cli
+from origami_h2 import cli, congruence, enumeration, origami_core, sl2_orbit
+from origami_h2.origami_core import key_to_text
 
 COUNTS_HEADER = "n,total,formula_total,a_count,a_formula,b_count,b_formula,match"
 
@@ -273,6 +274,44 @@ class TestVerify:
         rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "verify", "orbits", "30")
         assert rc == 2
         assert "exceeds" in err
+
+
+class TestKeysComputed:
+    """The orbit is computed on cylinder diagrams; keys are made only for output."""
+
+    @staticmethod
+    def count_keys(monkeypatch) -> list:
+        calls = []
+        real = origami_core.canonical_key
+
+        def counting(o):
+            calls.append(o.n)
+            return real(o)
+
+        for module in (origami_core, sl2_orbit, congruence, enumeration, cli):
+            if getattr(module, "canonical_key", None) is real:
+                monkeypatch.setattr(module, "canonical_key", counting)
+        return calls
+
+    @pytest.mark.parametrize("surface", ["L(3,29)", "2cyl(1,2,3,11,1,4)"])
+    def test_orbit_computes_no_key(self, capsys, monkeypatch, surface):
+        calls = self.count_keys(monkeypatch)
+        rc, out, _ = run(capsys, "--max-orbit-n", "31", "orbit", surface)
+        assert rc == 0 and json.loads(out)["size"] > 1000
+        assert calls == []
+
+    def test_noncong_keys_only_the_certified_carriers(self, capsys, monkeypatch, named_orbit):
+        orb = named_orbit("B", 29)
+        pair_at = {k: (orb.cusp_width(k), orb.cusp_width(orb.s_edge[k])) for k in orb.surfaces}
+        calls = self.count_keys(monkeypatch)
+        rc, out, _ = run(capsys, "--max-orbit-n", "29", "noncong", "B", "29")
+        assert rc == 0
+        doc = json.loads(out)
+        carriers = [k for k, pair in pair_at.items() if pair == (doc["k"], doc["k_prime"])]
+        assert doc["surface_key"] == key_to_text(min(carriers))
+        # the carriers, plus the surface and its image for each of the two
+        # memberships verify_certificate checks
+        assert len(calls) <= len(carriers) + 4
 
 
 class TestNoDiskWrites:

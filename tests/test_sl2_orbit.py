@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,8 @@ from origami_h2 import origami_core, sl2_orbit
 from origami_h2.cli import seed_surface
 from origami_h2.origami_core import (
     OneCylinder,
+    TwoCylinder,
+    build_from_diagram,
     build_l_shape,
     build_one_cylinder,
     build_two_cylinder,
@@ -37,11 +40,26 @@ from origami_h2.sl2_orbit import (
     orbit,
     orbit_from_json,
     orbit_to_json,
+    quarter_turn,
+    shear,
     t_power,
     u_orbit_width,
     v_power,
     validate_orbit,
 )
+from test_origami_core import all_one_cylinder_tuples, all_two_cylinder_tuples
+
+
+ORBIT_JSON_GOLDEN = Path(__file__).resolve().parent / "golden" / "orbit_json.json"
+
+
+def named_orbit_documents(n_max=12) -> dict:
+    """``orbit_to_json`` of every named orbit with n ≤ n_max, by ``"<label> <n>"``."""
+    docs = {}
+    for n in range(3, n_max + 1):
+        for label in "C" if n % 2 == 0 else "A" if n == 3 else "AB":
+            docs[f"{label} {n}"] = orbit_to_json(orbit(seed_surface(label, n)))
+    return docs
 
 
 def _malformed_documents() -> list:
@@ -107,6 +125,30 @@ class TestShears:
             for key in enum_keys(n):
                 o = origami_from_key(key)
                 assert integer_weierstrass_count(apply_T(o)) == integer_weierstrass_count(o)
+
+
+class TestDiagramAction:
+    """T and S on cylinder diagrams, the orbit's only moves, against the surfaces."""
+
+    @staticmethod
+    def diagrams(n_max: int) -> list:
+        # every tuple: imprimitive ones, one-cylinder ones of every height and
+        # in each of their three readings
+        out = []
+        for n in range(3, n_max + 1):
+            out += [TwoCylinder(*t) for t in all_two_cylinder_tuples(n)]
+            out += [OneCylinder(*t) for t in all_one_cylinder_tuples(n)]
+        return out
+
+    def test_shear_is_the_decomposed_shear(self):
+        diags = self.diagrams(16)
+        assert len(diags) == 10_859
+        for diag in diags:
+            assert shear(diag) == cylinder_decomposition(apply_T(build_from_diagram(diag))), diag
+
+    def test_quarter_turn_is_an_involution(self):
+        for diag in {cylinder_decomposition(build_from_diagram(d)) for d in self.diagrams(12)}:
+            assert quarter_turn(quarter_turn(diag)) == diag, diag
 
 
 @st.composite
@@ -291,6 +333,7 @@ class TestOrbitJson:
         orb = named_orbit("B", 5)
         text = orbit_to_json(orb)
         back = orbit_from_json(text)
+        assert (back.t_next, back.s_next) == (orb.t_next, orb.s_next)
         assert back.surfaces == orb.surfaces
         assert back.cusps == orb.cusps
         assert orbit_to_json(back) == text
@@ -383,6 +426,16 @@ class TestOrbitJson:
             orbit_from_json(json.dumps(doc))
 
 
+def test_orbit_json_matches_golden(named_orbit):
+    # schema 3 bytes of every named orbit with n <= 12; regenerate with:
+    # PYTHONPATH=src python3 tests/test_sl2_orbit.py
+    golden = json.loads(ORBIT_JSON_GOLDEN.read_text())
+    assert len(golden) == 14
+    for name, doc in golden.items():
+        label, n = name.split()
+        assert orbit_to_json(named_orbit(label, int(n))) == doc, name
+
+
 class TestCodecCounts:
     """Each surface's text is made once on write and checked once on read."""
 
@@ -417,3 +470,7 @@ class TestCodecCounts:
         calls = self.count_calls(monkeypatch, origami_core, "_is_transitive")
         orbit_from_json(text)
         assert len(calls) == orb.index + 1  # plus the base key
+
+
+if __name__ == "__main__":
+    ORBIT_JSON_GOLDEN.write_text(json.dumps(named_orbit_documents(), indent=1) + "\n")
