@@ -38,10 +38,11 @@ from .origami_core import (
     OneCylinder,
     Origami,
     TwoCylinder,
+    _corners,
+    _decompose,
+    _key,
     build_one_cylinder,
     build_two_cylinder,
-    canonical_key,
-    cylinder_decomposition,
     lattice_index,
     least_rotation,
     weierstrass_count,
@@ -106,12 +107,20 @@ def _compositions3(n: int) -> Iterator[tuple]:
             yield (l1, l2, n - l1 - l2)
 
 
-def _check_candidate(o: Origami, diag: CylinderDiagram) -> None:
-    """Raise unless ``o`` decomposes back into ``diag`` and is primitive."""
-    found = cylinder_decomposition(o)
+def _checked_key(o: Origami, diag: CylinderDiagram) -> bytes:
+    """The key of ``o``; raise unless it decomposes back into ``diag`` and is primitive.
+
+    One corner scan serves the H(2) check, the decomposition and the key.
+    """
+    r, u = o.right, o.up
+    corners = _corners(r, u)
+    if len(corners) != 3:
+        raise AssertionError(f"{diag} builds a surface with {len(corners)} corners")
+    found = _decompose(r, u, corners)
     index = lattice_index(found)
     if found != diag or index != 1:
         raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {index}")
+    return _key(r, u, corners)
 
 
 def enumerate_primitive(n: int) -> set:
@@ -128,8 +137,7 @@ def enumerate_primitive(n: int) -> set:
             for t2 in range(w2):
                 if gcd(g, c - h1 * t2) == 1:
                     o = build_two_cylinder(h1, h2, w1, w2, t1, t2)
-                    _check_candidate(o, TwoCylinder(h1, h2, w1, w2, t1, t2))
-                    keys.add(canonical_key(o))
+                    keys.add(_checked_key(o, TwoCylinder(h1, h2, w1, w2, t1, t2)))
     for l1, l2, l3 in _compositions3(n):
         if gcd(gcd(l1, l2), l3) != 1:
             continue
@@ -143,9 +151,7 @@ def enumerate_primitive(n: int) -> set:
             diag = OneCylinder(l1, l2, l3, t, 1)
             if l1 == l2 == l3 and least_rotation(diag) != diag:
                 continue
-            o = build_one_cylinder(l1, l2, l3, t, 1)
-            _check_candidate(o, diag)
-            keys.add(canonical_key(o))
+            keys.add(_checked_key(build_one_cylinder(l1, l2, l3, t, 1), diag))
     return keys
 
 

@@ -200,28 +200,7 @@ def build_two_cylinder(h1: int, h2: int, w1: int, w2: int, t1: int, t2: int) -> 
         raise InvalidSurfaceError("cylinder heights and widths must be positive")
     if w1 >= w2:
         raise InvalidSurfaceError(f"need w1 < w2, got w1={w1}, w2={w2}")
-    t1 %= w1
-    t2 %= w2
-    # Square ids: wide cylinder rows first (y*w2 + x, y = 0 bottom), then the
-    # narrow cylinder (nbig + y*w1 + x).  Each row steps right to the next id
-    # and wraps at its end; each square below a top row steps up by its width.
-    nbig = h2 * w2
-    n = nbig + h1 * w1
-    right = list(range(1, n + 1))
-    right[w2 - 1 : nbig : w2] = range(0, nbig, w2)
-    right[nbig + w1 - 1 :: w1] = range(nbig, n, w1)
-    # wide top position x lands at s = (x - t2) mod w2 of the bottom rows:
-    # the narrow one's for s < w1, the wide one's otherwise
-    lands = [*range(nbig, nbig + w1), *range(w1, w2)]
-    up = [
-        *range(w2, nbig),
-        *lands[w2 - t2 :],
-        *lands[: w2 - t2],
-        *range(nbig + w1, n),
-        *range(w1 - t1, w1),
-        *range(w1 - t1),
-    ]
-    return Origami(right, up, check=False)
+    return _built(TwoCylinder(h1, h2, w1, w2, t1, t2))
 
 
 def build_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Origami:
@@ -234,16 +213,48 @@ def build_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Ori
         raise InvalidSurfaceError("saddle connection lengths must be positive")
     if h < 1:
         raise InvalidSurfaceError("height must be positive")
-    w = l1 + l2 + l3
-    t %= w
-    n = w * h
-    right = list(range(1, n + 1))
-    right[w - 1 :: w] = range(0, n, w)
-    # the top row's arcs A=[0,l1), B=[l1,l1+l2), C=[l1+l2,w) land in reversed
-    # order on the bottom row, which the twist rotates: x ↦ lands[x]
-    lands = [*range(t, w), *range(t)]
-    up = [*range(w, n), *lands[l2 + l3 :], *lands[l3 : l2 + l3], *lands[:l3]]
+    return _built(OneCylinder(l1, l2, l3, t, h))
+
+
+def _built(diag: CylinderDiagram) -> Origami:
+    rows, up, _ = _layout(diag)
+    right = list(range(1, len(up) + 1))
+    for a, w, end in rows:
+        right[a + w - 1 : end : w] = range(a, end, w)
     return Origami(right, up, check=False)
+
+
+def _layout(diag: CylinderDiagram) -> tuple:
+    """(rows, up, cuts) of the surface the builders make from ``diag``.
+
+    Rows are numbered up from the bottom of each cylinder and step right to
+    the next square, wrapping at their end: ``rows`` has one (first square,
+    width, end) block per cylinder.  Each of the three cuts in the top
+    boundaries is (first square of its top row, width, position p): its
+    corner (:func:`_corners`) sits at p − 1 (mod width), its break at p.
+    """
+    if isinstance(diag, OneCylinder):
+        l1, l2, l3, t, h = diag
+        w = l1 + l2 + l3
+        t %= w
+        n = w * h
+        # the top row's arcs A=[0,l1), B=[l1,l1+l2), C=[l1+l2,w) land in reversed
+        # order on the bottom row, which the twist rotates: x ↦ lands[x]
+        lands = [*range(t, w), *range(t)]
+        up = [*range(w, n), *lands[l2 + l3 :], *lands[l3 : l2 + l3], *lands[:l3]]
+        return [(0, w, n)], up, [(n - w, w, 0), (n - w, w, l1), (n - w, w, l1 + l2)]
+    h1, h2, w1, w2, t1, t2 = diag
+    t1 %= w1
+    t2 %= w2
+    nbig = h2 * w2  # the wide cylinder's rows come first, then the narrow one's
+    n = nbig + h1 * w1
+    # wide top position x lands at s = (x - t2) mod w2 of the bottom rows: the
+    # narrow one's for s < w1, the wide one's otherwise (cuts at t2, t2 + w1)
+    lands = [*range(nbig, nbig + w1), *range(w1, w2)]
+    up = [*range(w2, nbig), *lands[w2 - t2 :], *lands[: w2 - t2]]
+    up += [*range(nbig + w1, n), *range(w1 - t1, w1), *range(w1 - t1)]
+    cuts = [(nbig - w2, w2, t2), (nbig - w2, w2, (t2 + w1) % w2), (n - w1, w1, t1)]
+    return [(0, w2, nbig), (nbig, w1, n)], up, cuts
 
 
 def build_l_shape(a: int, b: int) -> Origami:
@@ -280,27 +291,30 @@ class MalformedSurfaceError(RuntimeError):
 
 
 def cylinder_decomposition(o: Origami) -> CylinderDiagram:
-    """The horizontal cylinder diagram of ``o``, read straight off the rows.
+    """The horizontal cylinder diagram of ``o``; the vertical one is that of ``apply_S(o)``.
 
-    The vertical diagram is the decomposition of the quarter-turned surface
-    (``sl2_orbit.apply_S``).  Raises ValueError for a surface outside H(2) and
-    MalformedSurfaceError for a flat torus or a cylinder count other than
-    1 or 2, which cannot happen in H(2).
-
-    The top row of each cylinder is the row holding one of the three
-    corners (:func:`_corners`); every other row glues rigidly to the row
-    above it.  Each top row is walked once from a break q = right(corner),
-    the first square after a cut in its top boundary, and gets one position
-    array.  Everything else is read off by climbing single columns from the
-    bottom squares up(q) to the next top row, so the cost is O(n).
+    Raises ValueError for a surface outside H(2) and MalformedSurfaceError
+    for a flat torus or a cylinder count other than 1 or 2, which cannot
+    happen in H(2).
     """
-    r, u = o.right, o.up
-    corners = _corners(r, u)
+    corners = _corners(o.right, o.up)
     if not corners:
         raise MalformedSurfaceError("rigid row gluings form a cycle (flat torus)")
     if len(corners) != 3:
         raise ValueError("surface is not in H(2)")
-    n = o.n
+    return _decompose(o.right, o.up, corners)
+
+
+def _decompose(r, u, corners) -> CylinderDiagram:
+    """The cylinder diagram of the H(2) pair (r, u) with the given three corners.
+
+    A cylinder's top row holds a corner; the other rows glue rigidly to the
+    row above.  Each top row is walked once from a break q = r(corner), the
+    first square after a cut, into one position array.  The rest is read off
+    by climbing single columns from the bottom squares u(q) to the next top
+    row, so the cost is the top rows' length plus the heights.
+    """
+    n = len(r)
     breaks = [r[y] for y in corners]
     row_of = [-1] * n  # index of the top row holding a square, -1 below the tops
     pos = [0] * n  # position along its top row, counted from that row's first break
@@ -336,19 +350,22 @@ def _climb(u, row_of, x) -> tuple:
 
 
 def _one_cylinder_diagram(u, breaks, row_of, pos, w) -> OneCylinder:
-    # Each break q can serve as position 0 of the top row: the cuts then sit
-    # at 0 < c1 < c2, and the twist is where up(q) lands on the bottom row,
-    # measured from the column under q, less l2 + l3.  The decomposition is
-    # the least of the three readings.
-    best = None
-    for q in breaks:
-        p = pos[q]
-        c1, c2 = sorted((pos[b] - p) % w for b in breaks if b != q)
-        a, h = _climb(u, row_of, u[q])
-        cand = OneCylinder(c1, c2 - c1, w - c2, (pos[a] - p + c1) % w, h)
-        if best is None or cand < best:
-            best = cand
-    return best
+    # Each break q can serve as position 0 of the top row: the arcs between
+    # the cuts, in order from q, are (l1, l2, l3), and the twist is where
+    # up(q) lands on the bottom row, measured from the column under q, less
+    # l2 + l3.  The decomposition is the least of the three readings, so
+    # only those with the least arcs climb: one, or all three if l1 = l2 = l3.
+    order = sorted(breaks, key=pos.__getitem__)
+    p0, p1, p2 = [pos[q] for q in order]
+    arcs = (p1 - p0, p2 - p1, w - p2 + p0)
+    readings = [(arcs[i:] + arcs[:i], q) for i, q in enumerate(order)]
+    least = min(readings)[0]
+    found = []
+    for (l1, l2, l3), q in readings:
+        if (l1, l2, l3) == least:
+            a, h = _climb(u, row_of, u[q])
+            found.append(OneCylinder(l1, l2, l3, (pos[a] - pos[q] + l1) % w, h))
+    return min(found)
 
 
 def _two_cylinder_diagram(u, breaks, row_of, pos, widths) -> TwoCylinder:
@@ -396,9 +413,14 @@ def canonical_key(o: Origami) -> bytes:
     decodes back to the canonical representative via
     :func:`origami_from_key`.
     """
-    n, r, u = o.n, o.right, o.up
+    return _key(o.right, o.up, _corners(o.right, o.up))
+
+
+def _key(r, u, corners) -> bytes:
+    """:func:`canonical_key` of the pair (r, u) with the given corners."""
+    n = len(r)
     # the commutator moves u(r(y)) exactly for the corners y
-    starts = [u[r[y]] for y in _corners(r, u)] or range(n)
+    starts = [u[r[y]] for y in corners] or range(n)
     best = None
     for s0 in starts:
         # BFS and encoding fused: the pair for x is final once x is processed,

@@ -11,13 +11,13 @@ Orbits of the whole group are computed by closure under T and S on
 normalised cylinder diagrams, which name H(2) surfaces completely.  On
 a diagram T is twist arithmetic (:func:`shear`): a two-cylinder diagram
 takes t1 + h1 (mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h
-(mod w) and then its least rotation.  S is the decomposition of the
-quarter-turned surface, and S² = −I fixes every H(2) surface (the
-hyperelliptic involution), so one decomposition gives both S-edges of a
-pair.  The T-cycles of an orbit are its cusps; the cusp width is the cycle
-length and their least common multiple is the level of the stabiliser.  An
-arbitrary unimodular matrix acts through its Euclidean factorisation into a
-word in T and S.
+(mod w) and then its least rotation.  S (:func:`quarter_turn`) decomposes
+the turned surface laid out from the diagram, without building it, and
+S² = −I fixes every H(2) surface (the hyperelliptic involution), so one
+quarter turn gives both S-edges of a pair.  The T-cycles of an orbit are its
+cusps; the cusp width is the cycle length and their least common multiple
+is the level of the stabiliser.  An arbitrary unimodular matrix acts
+through its Euclidean factorisation into a word in T and S.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ from .origami_core import (
     OneCylinder,
     Origami,
     TwoCylinder,
+    _decompose,
     _inverse,
     _key_images,
+    _layout,
     build_from_diagram,
     canonical_key,
     cylinder_decomposition,
@@ -207,8 +209,18 @@ def shear(diag: CylinderDiagram) -> CylinderDiagram:
 
 
 def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
-    """S on a normalised cylinder diagram: the decomposition of the turned surface."""
-    return cylinder_decomposition(apply_S(build_from_diagram(diag)))
+    """S on a cylinder diagram: ``cylinder_decomposition(apply_S(build_from_diagram(diag)))``.
+
+    No surface is built.  The turned surface is (up, right⁻¹) of the row
+    layout, where right⁻¹ is a shifted range with each row's first square
+    patched to its last.  Its corners are the breaks right(c) after the
+    layout's corners c, so only the walk of its top rows is left.
+    """
+    rows, up, cuts = _layout(diag)
+    rinv = list(range(-1, len(up) - 1))
+    for a, w, end in rows:
+        rinv[a:end:w] = range(a + w - 1, end, w)
+    return _decompose(up, rinv, [a + p for a, _, p in cuts])
 
 
 class Orbit:

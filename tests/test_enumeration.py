@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from oracles import involution_weierstrass_count
-from origami_h2 import enumeration
+from origami_h2 import enumeration, origami_core
 from origami_h2.enumeration import (
     classify,
     count_primitive,
@@ -93,6 +93,23 @@ class TestCrossCheck:
         monkeypatch.setattr(enumeration, "gcd", lambda a, b: 1)
         with pytest.raises(AssertionError, match="lattice determinant 2"):
             enumerate_primitive(6)
+
+
+class TestCornerScans:
+    def test_one_corner_scan_per_candidate(self, monkeypatch):
+        # the H(2) check, the decomposition and the key share one scan
+        calls = []
+        real = origami_core._corners
+
+        def counting(r, u):
+            calls.append(len(r))
+            return real(r, u)
+
+        for module in (origami_core, enumeration):
+            monkeypatch.setattr(module, "_corners", counting)
+        keys = enumerate_primitive(13)
+        # two-cylinder tuples and least one-cylinder readings are distinct surfaces
+        assert len(calls) == len(keys) == formula_total(13)
 
 
 class TestClassify:

@@ -146,9 +146,36 @@ class TestDiagramAction:
         for diag in diags:
             assert shear(diag) == cylinder_decomposition(apply_T(build_from_diagram(diag))), diag
 
+    def test_quarter_turn_is_the_decomposed_quarter_turn(self):
+        diags = self.diagrams(16)
+        assert len(diags) == 10_859
+        for diag in diags:
+            assert quarter_turn(diag) == cylinder_decomposition(apply_S(build_from_diagram(diag))), diag
+
     def test_quarter_turn_is_an_involution(self):
-        for diag in {cylinder_decomposition(build_from_diagram(d)) for d in self.diagrams(12)}:
+        # orbit() sets s_next[image] = diag on the strength of this
+        for diag in {cylinder_decomposition(build_from_diagram(d)) for d in self.diagrams(16)}:
             assert quarter_turn(quarter_turn(diag)) == diag, diag
+
+    def test_layout_corners_are_the_scanned_corners(self):
+        # the closed-form cuts name the corner squares the scan finds on the
+        # built surface: the square at p - 1 (mod width) of each top row
+        for diag in self.diagrams(16):
+            o = build_from_diagram(diag)
+            cuts = origami_core._layout(diag)[2]
+            corners = {a + (p - 1) % w for a, w, p in cuts}
+            assert corners == set(origami_core._corners(o.right, o.up)), diag
+
+    def test_quarter_turn_builds_no_surface(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("quarter_turn must not build or scan a surface")
+
+        for module, name in ((sl2_orbit, "build_from_diagram"), (sl2_orbit, "apply_S"),
+                             (sl2_orbit, "_inverse"), (sl2_orbit, "cylinder_decomposition"),
+                             (origami_core, "_corners"), (origami_core, "_inverse")):
+            monkeypatch.setattr(module, name, refuse)
+        for diag in (TwoCylinder(2, 1, 3, 7, 1, 4), OneCylinder(1, 6, 2, 3, 1), OneCylinder(2, 2, 2, 1, 3)):
+            quarter_turn(diag)
 
 
 @st.composite
