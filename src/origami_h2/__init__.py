@@ -26,6 +26,7 @@ from .enumeration import (
     CountReport,
     classify,
     count_primitive,
+    enumerate_diagrams,
     enumerate_primitive,
     formula_split,
     formula_total,

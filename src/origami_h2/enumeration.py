@@ -5,18 +5,20 @@ is swept in cylinder coordinates:
 
 * two-cylinder: h1·w1 + h2·w2 = n with w1 < w2, twists t_i ∈ [0, w_i) —
   distinct primitive tuples give distinct surfaces (the decomposition
-  round-trips exactly);
+  round-trips exactly and ignores labels, so counting needs no key);
 * one-cylinder: l1+l2+l3 = n, h = 1 (taller cylinders are never primitive),
   twist t ∈ [0, n) — tuples hit each surface exactly three times, through
   the rotation (l1,l2,l3,t) ↦ (l2,l3,l1,t−2·l1).
 
 Primitivity in coordinates is gcd(h1,h2) = 1 together with
 gcd(gcd(w1,w2), h2·t1 − h1·t2) = 1 (one-cylinder: gcd(l1,l2,l3) = 1), which
-is the lattice-index test specialised to the builders.  Enumeration
-re-checks every built origami: its cylinder decomposition must give back the
-enumerated tuple (a one-cylinder tuple is kept only as the least of its
-rotations, which is what the decomposition returns), and that diagram's
-lattice index must be 1.
+is the lattice-index test specialised to the builders.  One sweep builds
+every candidate and checks it on the built surface: three corners, a
+decomposition that gives back the enumerated tuple (one-cylinder tuples are
+kept only as their least rotation, which is what the decomposition returns)
+and lattice index 1.  The census is that set of diagrams
+(:func:`enumerate_diagrams`); :func:`enumerate_primitive` keys the same sweep
+for output and tests.
 
 Counting is done in the same coordinates: per two-cylinder shape the number
 of primitive twist pairs is w1·w2·φ(g)/g with g = gcd(w1,w2), and the odd-n
@@ -36,7 +38,6 @@ from .congruence import divisor_sigma, divisors, euler_phi, moebius, stratum_pro
 from .origami_core import (
     CylinderDiagram,
     OneCylinder,
-    Origami,
     TwoCylinder,
     _corners,
     _decompose,
@@ -101,33 +102,8 @@ def _two_cylinder_shapes(n: int) -> Iterator[tuple]:
                 yield (m1 // w1, h2, w1, w2)
 
 
-def _compositions3(n: int) -> Iterator[tuple]:
-    for l1 in range(1, n - 1):
-        for l2 in range(1, n - l1):
-            yield (l1, l2, n - l1 - l2)
-
-
-def _checked_key(o: Origami, diag: CylinderDiagram) -> bytes:
-    """The key of ``o``; raise unless it decomposes back into ``diag`` and is primitive.
-
-    One corner scan serves the H(2) check, the decomposition and the key.
-    """
-    r, u = o.right, o.up
-    corners = _corners(r, u)
-    if len(corners) != 3:
-        raise AssertionError(f"{diag} builds a surface with {len(corners)} corners")
-    found = _decompose(r, u, corners)
-    index = lattice_index(found)
-    if found != diag or index != 1:
-        raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {index}")
-    return _key(r, u, corners)
-
-
-def enumerate_primitive(n: int) -> set:
-    """Canonical keys of every primitive n-square H(2) origami."""
-    if n < 3:
-        raise ValueError("H(2) needs at least 3 squares")
-    keys = set()
+def _candidates(n: int) -> Iterator[CylinderDiagram]:
+    """The normalised diagrams of the primitive n-square census, in coordinates."""
     for h1, h2, w1, w2 in _two_cylinder_shapes(n):
         if gcd(h1, h2) != 1:
             continue
@@ -136,23 +112,51 @@ def enumerate_primitive(n: int) -> set:
             c = h2 * t1
             for t2 in range(w2):
                 if gcd(g, c - h1 * t2) == 1:
-                    o = build_two_cylinder(h1, h2, w1, w2, t1, t2)
-                    keys.add(_checked_key(o, TwoCylinder(h1, h2, w1, w2, t1, t2)))
-    for l1, l2, l3 in _compositions3(n):
-        if gcd(gcd(l1, l2), l3) != 1:
-            continue
-        # keep one tuple per rotation class; the oracle tests pin that the
-        # rotation is the full overcount.  Unless l1 = l2 = l3, the lengths
-        # alone decide which reading is least, so most compositions are
-        # skipped whole.
-        if least_rotation(OneCylinder(l1, l2, l3, 0, 1))[:3] != (l1, l2, l3):
-            continue
-        for t in range(n):
-            diag = OneCylinder(l1, l2, l3, t, 1)
-            if l1 == l2 == l3 and least_rotation(diag) != diag:
+                    yield TwoCylinder(h1, h2, w1, w2, t1, t2)
+    for l1 in range(1, n - 1):
+        for l2 in range(1, n - l1):
+            l3 = n - l1 - l2
+            if gcd(gcd(l1, l2), l3) != 1:
                 continue
-            keys.add(_checked_key(build_one_cylinder(l1, l2, l3, t, 1), diag))
-    return keys
+            # keep one tuple per rotation class; the oracle tests pin that the
+            # rotation is the full overcount.  Unless l1 = l2 = l3, the lengths
+            # alone decide which reading is least, so most compositions are
+            # skipped whole.
+            if least_rotation(OneCylinder(l1, l2, l3, 0, 1))[:3] != (l1, l2, l3):
+                continue
+            for t in range(n):
+                diag = OneCylinder(l1, l2, l3, t, 1)
+                if l1 == l2 == l3 and least_rotation(diag) != diag:
+                    continue
+                yield diag
+
+
+def _sweep(n: int) -> Iterator[tuple]:
+    """(diag, right, up, corners) per candidate, checked on its built surface."""
+    if n < 3:
+        raise ValueError("H(2) needs at least 3 squares")
+    for diag in _candidates(n):
+        build = build_one_cylinder if isinstance(diag, OneCylinder) else build_two_cylinder
+        o = build(*diag)
+        r, u = o.right, o.up
+        corners = _corners(r, u)
+        if len(corners) != 3:
+            raise AssertionError(f"{diag} builds a surface with {len(corners)} corners")
+        found = _decompose(r, u, corners)
+        index = lattice_index(found)
+        if found != diag or index != 1:
+            raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {index}")
+        yield diag, r, u, corners
+
+
+def enumerate_diagrams(n: int) -> set:
+    """The normalised cylinder diagram of every primitive n-square H(2) origami."""
+    return {diag for diag, _, _, _ in _sweep(n)}
+
+
+def enumerate_primitive(n: int) -> set:
+    """Canonical keys of every primitive n-square H(2) origami."""
+    return {_key(r, u, corners) for _, r, u, corners in _sweep(n)}
 
 
 def _primitive_twist_pairs(h1: int, h2: int, w1: int, w2: int) -> int:
@@ -184,7 +188,7 @@ def count_two_cylinder(n: int) -> int:
 def count_primitive(n: int) -> int:
     """Primitive surface count by coordinate arithmetic (no key building).
 
-    Agrees with len(enumerate_primitive(n)): two-cylinder tuples are in
+    Agrees with len(enumerate_diagrams(n)): two-cylinder tuples are in
     bijection with surfaces and one-cylinder tuples are exactly 3-to-1.
     """
     if n < 3:
@@ -257,27 +261,22 @@ def classify(n: int) -> CountReport:
 def verify_counts(n_min: int, n_max: int) -> list:
     """Enumerate every n in the range and compare against the formulas.
 
-    Totals come from the key-based enumerator; odd n ≥ 5 additionally get
-    the invariant split (computed in coordinates, so a disagreement between
-    the two pipelines also shows up as a failed match).
+    Totals count the checked diagrams of :func:`enumerate_diagrams`, with no
+    key built; odd n ≥ 5 additionally get the invariant split (computed in
+    coordinates, so a disagreement between the two pipelines also shows up
+    as a failed match).
     """
     if not 3 <= n_min <= n_max:
         raise ValueError(f"invalid range [{n_min}, {n_max}]")
     reports = []
     for n in range(n_min, n_max + 1):
-        total = len(enumerate_primitive(n))
+        total = len(enumerate_diagrams(n))
         if n >= 5 and n % 2:
-            reports.append(classify(n)._replace(total=total))
+            report = classify(n)._replace(total=total)
         else:
-            reports.append(
-                CountReport(
-                    n,
-                    total,
-                    formula_total(n),
-                    one_cylinder=count_one_cylinder(n),
-                    two_cylinder=count_two_cylinder(n),
-                )
-            )
+            one, two = count_one_cylinder(n), count_two_cylinder(n)
+            report = CountReport(n, total, formula_total(n), one_cylinder=one, two_cylinder=two)
+        reports.append(report)
     return reports
 
 

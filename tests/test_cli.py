@@ -265,6 +265,20 @@ class TestVerify:
         want_ns = [3, 5, 7] if suite == "invariant" else [3, 4, 5, 6, 7]
         assert [int(line.split("=")[1].split(":")[0]) for line in lines] == want_ns
 
+    def test_orbits_must_be_the_census_as_a_set(self, capsys, monkeypatch):
+        # one diagram swapped for an 8-square one: every size still agrees
+        real = enumeration.enumerate_diagrams
+
+        def swapped(n):
+            diagrams = real(n)
+            diagrams.remove(min(diagrams))
+            return diagrams | {origami_core.TwoCylinder(1, 1, 1, 7, 0, 0)}
+
+        monkeypatch.setattr(cli, "enumerate_diagrams", swapped)
+        rc, out, _ = run(capsys, "verify", "orbits", "7")
+        assert rc == 1
+        assert out.splitlines()[-1] == "FAIL n=7: A=54 + B=36 vs total 90"
+
     def test_rejects_tiny_n_max(self, capsys, tmp_path):
         rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "verify", "levels", "2")
         assert rc == 2

@@ -9,13 +9,22 @@ from origami_h2 import enumeration, origami_core
 from origami_h2.enumeration import (
     classify,
     count_primitive,
+    enumerate_diagrams,
     enumerate_primitive,
     formula_split,
     formula_total,
     total_count_with_imprimitive,
     verify_counts,
 )
-from origami_h2.origami_core import in_h2, is_primitive, origami_from_key
+from origami_h2.origami_core import (
+    build_from_diagram,
+    canonical_key,
+    in_h2,
+    is_primitive,
+    origami_from_key,
+)
+
+ENUMERATORS = (enumerate_primitive, enumerate_diagrams)
 
 
 class TestFormulas:
@@ -43,8 +52,9 @@ class TestEnumerator:
         assert len(enum_keys(n)) == want
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            enumerate_primitive(2)
+        for enumerate_ in ENUMERATORS:
+            with pytest.raises(ValueError):
+                enumerate_(2)
 
     def test_every_key_is_a_primitive_h2_surface(self, enum_keys):
         for n in range(3, 11):
@@ -56,10 +66,27 @@ class TestEnumerator:
 
     def test_count_matches_enumeration(self, enum_keys):
         for n in range(3, 13):
-            assert count_primitive(n) == len(enum_keys(n))
+            assert count_primitive(n) == len(enum_keys(n)) == len(enumerate_diagrams(n))
 
     def test_count_below_three_is_zero(self):
         assert count_primitive(2) == 0
+
+    def test_distinct_diagrams_are_distinct_surfaces(self, enum_keys):
+        # why counting needs no key: the diagrams key one-to-one onto the census
+        for n in range(3, 17):
+            diagrams = enumerate_diagrams(n)
+            keys = {canonical_key(build_from_diagram(d)) for d in diagrams}
+            assert len(keys) == len(diagrams) == len(enum_keys(n)), n
+            assert keys == enum_keys(n), n
+
+    def test_named_orbits_partition_the_diagrams(self, named_orbit):
+        for n in range(3, 22):
+            labels = "A" if n == 3 else "C" if n % 2 == 0 else "AB"
+            parts = [set(named_orbit(label, n).diagrams) for label in labels]
+            census = enumerate_diagrams(n)
+            # equal sizes make the parts disjoint
+            assert sum(map(len, parts)) == len(census), n
+            assert set().union(*parts) == census, n
 
 
 class TestCrossCheck:
@@ -67,6 +94,7 @@ class TestCrossCheck:
 
     At n = 7 every shifted twist below still gives a primitive surface, so
     only the decomposition, not primitivity, can tell the builder is wrong.
+    Both enumerators run the same checked sweep.
     """
 
     def test_wrong_two_cylinder_twist_raises(self, monkeypatch):
@@ -75,8 +103,9 @@ class TestCrossCheck:
             enumeration, "build_two_cylinder",
             lambda h1, h2, w1, w2, t1, t2: real(h1, h2, w1, w2, t1, t2 + 1),
         )
-        with pytest.raises(AssertionError, match="decomposes as"):
-            enumerate_primitive(7)
+        for enumerate_ in ENUMERATORS:
+            with pytest.raises(AssertionError, match="decomposes as"):
+                enumerate_(7)
 
     def test_wrong_one_cylinder_twist_raises(self, monkeypatch):
         real = enumeration.build_one_cylinder
@@ -84,15 +113,17 @@ class TestCrossCheck:
             enumeration, "build_one_cylinder",
             lambda l1, l2, l3, t, h: real(l1, l2, l3, t + 1, h),
         )
-        with pytest.raises(AssertionError, match="decomposes as"):
-            enumerate_primitive(7)
+        for enumerate_ in ENUMERATORS:
+            with pytest.raises(AssertionError, match="decomposes as"):
+                enumerate_(7)
 
     def test_imprimitive_candidate_raises(self, monkeypatch):
         # with the coordinate filter off, 2cyl(2,2,1,2,0,0) is built: it
         # decomposes back into itself, but both heights are even
         monkeypatch.setattr(enumeration, "gcd", lambda a, b: 1)
-        with pytest.raises(AssertionError, match="lattice determinant 2"):
-            enumerate_primitive(6)
+        for enumerate_ in ENUMERATORS:
+            with pytest.raises(AssertionError, match="lattice determinant 2"):
+                enumerate_(6)
 
 
 class TestCornerScans:
@@ -110,6 +141,25 @@ class TestCornerScans:
         keys = enumerate_primitive(13)
         # two-cylinder tuples and least one-cylinder readings are distinct surfaces
         assert len(calls) == len(keys) == formula_total(13)
+
+    def test_counting_builds_no_key(self, monkeypatch):
+        calls = []
+        real = origami_core._corners
+
+        def counting(r, u):
+            calls.append(len(r))
+            return real(r, u)
+
+        def no_key(r, u, corners):
+            raise RuntimeError("counting built a canonical key")
+
+        for module in (origami_core, enumeration):
+            monkeypatch.setattr(module, "_corners", counting)
+            monkeypatch.setattr(module, "_key", no_key)
+        assert len(enumerate_diagrams(13)) == formula_total(13) == len(calls)
+        calls.clear()
+        assert all(rep.match for rep in verify_counts(3, 15))
+        assert len(calls) == sum(formula_total(n) for n in range(3, 16))
 
 
 class TestClassify:
