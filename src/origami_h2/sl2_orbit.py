@@ -14,7 +14,11 @@ takes t1 + h1 (mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h
 (mod w) and then its least rotation.  S (:func:`quarter_turn`) decomposes
 the turned surface laid out from the diagram, without building it, and
 S² = −I fixes every H(2) surface (the hyperelliptic involution), so one
-quarter turn gives both S-edges of a pair.  The T-cycles of an orbit are its
+quarter turn gives both S-edges of a pair.  With these matrices
+S·T = [[0,1],[−1,−1]], (S·T)² = [[−1,−1],[1,0]] and (S·T)³ = I, so
+f = S∘T has order dividing 3 on diagrams: of the three S-edges of an
+f-cycle a → f(a) → f²(a) → a, any two give the third, and the orbit makes
+about one quarter turn for every five surfaces.  The T-cycles of an orbit are its
 cusps; the cusp width is the cycle length and their least common multiple
 is the level of the stabiliser.  An arbitrary unimodular matrix acts
 through its Euclidean factorisation into a word in T and S.
@@ -208,6 +212,15 @@ def shear(diag: CylinderDiagram) -> CylinderDiagram:
     return least_rotation(OneCylinder(l1, l2, l3, (t - h) % (l1 + l2 + l3), h))
 
 
+def shear_inverse(diag: CylinderDiagram) -> CylinderDiagram:
+    """T⁻¹ on a normalised cylinder diagram: :func:`shear` with each step undone."""
+    if isinstance(diag, TwoCylinder):
+        h1, h2, w1, w2, t1, t2 = diag
+        return TwoCylinder(h1, h2, w1, w2, (t1 - h1) % w1, (t2 - h2) % w2)
+    l1, l2, l3, t, h = diag
+    return least_rotation(OneCylinder(l1, l2, l3, (t + h) % (l1 + l2 + l3), h))
+
+
 def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
     """S on a cylinder diagram: ``cylinder_decomposition(apply_S(build_from_diagram(diag)))``.
 
@@ -310,30 +323,43 @@ class Orbit:
 def orbit(o: Origami) -> Orbit:
     """Closure of {o} under T and S on normalised cylinder diagrams.
 
-    Forward images suffice: T-cycles close on themselves and S is an
-    involution on diagrams, so the forward closure is the full group orbit.
-    No canonical key is computed.
+    The closure walks one f-cycle a → b → c → a at a time, f = S∘T, with
+    f³ = 1 because (S·T)³ = I (see the module docstring).  Its S-edges are
+    T(a)–b, T(b)–c and T(c)–a.  An edge already known is reused; since S is
+    an involution, a known S(a) = T(c) gives c = T⁻¹(S(a)) and then a known
+    S(c) gives b = T⁻¹(S(c)).  Only a still missing b or c costs a quarter
+    turn, and T(c)–a is never turned: f(c) = a.  A fixed point of f is the
+    cycle a = b = c.  The T-images of the cycle are closed next, so the
+    forward closure is the full group orbit.  No canonical key is computed.
     """
     start = cylinder_decomposition(o)
     if lattice_index(start) != 1:
         raise ValueError("orbit computation expects a primitive surface")
     t_next = {}
     s_next = {}
-    seen = {start}
     todo = [start]
     while todo:
-        diag = todo.pop()
-        image = t_next[diag] = shear(diag)
-        if image not in seen:
-            seen.add(image)
-            todo.append(image)
-        if diag not in s_next:
-            image = quarter_turn(diag)
-            s_next[diag] = image
-            s_next[image] = diag
-            if image not in seen:
-                seen.add(image)
-                todo.append(image)
+        a = todo.pop()
+        if a in t_next:  # its f-cycle is closed
+            continue
+        ta = t_next[a] = shear(a)
+        b = s_next.get(ta)
+        sa = s_next.get(a)
+        c = None if sa is None else shear_inverse(sa)
+        if b is None:
+            sc = None if c is None else s_next.get(c)
+            b = quarter_turn(ta) if sc is None else shear_inverse(sc)
+            s_next[ta] = b
+            s_next[b] = ta
+        tb = t_next[b] = shear(b)
+        if c is None:
+            c = s_next.get(tb) or quarter_turn(tb)
+        s_next[tb] = c
+        s_next[c] = tb
+        tc = t_next[c] = shear(c)
+        s_next[tc] = a
+        s_next[a] = tc
+        todo += (ta, tb, tc)
     return Orbit(o.n, t_next, s_next)
 
 

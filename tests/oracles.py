@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by a route disjoint from the production
 code: the canonical key started from every square, the cylinder builders
 square by square, brute force over permutation pairs, spanning-tree holonomy
 with explicit sublattice enumeration, and the hyperelliptic involution found
-by constraint propagation.  Slow is fine here; different is the point.
+by constraint propagation, and the orbit closed with a quarter turn for
+every S-pair.  Slow is fine here; different is the point.
 """
 
 from itertools import permutations
@@ -17,9 +18,11 @@ from origami_h2.origami_core import (
     InvalidSurfaceError,
     Origami,
     canonical_key,
+    cylinder_decomposition,
     in_h2,
     is_primitive,
 )
+from origami_h2.sl2_orbit import quarter_turn, shear
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +354,34 @@ def involution_weierstrass_count(o: Origami) -> int:
         if u[r[s]] == r[u[s]] and pi[s] == u[r[s]]:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# the orbit with every S-pair turned
+#
+# The library's orbit turns only the S-edges of an (ST)-triangle that no
+# other edge fixes.  This reference turns every S-pair it meets and infers
+# nothing, so it shares the diagram moves with the library but not the
+# closure.  The two must give equal T- and S-edge maps.
+
+
+def all_turns_orbit(o: Origami) -> tuple:
+    """(t_next, s_next) of o's SL(2,Z) orbit on normalised cylinder diagrams."""
+    start = cylinder_decomposition(o)
+    t_next, s_next = {}, {}
+    seen = {start}
+    todo = [start]
+    while todo:
+        diag = todo.pop()
+        image = t_next[diag] = shear(diag)
+        if image not in seen:
+            seen.add(image)
+            todo.append(image)
+        if diag not in s_next:
+            image = quarter_turn(diag)
+            s_next[diag] = image
+            s_next[image] = diag
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return t_next, s_next

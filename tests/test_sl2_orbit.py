@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from origami_h2 import origami_core, sl2_orbit
 from origami_h2.cli import seed_surface
+from origami_h2.enumeration import enumerate_diagrams
 from origami_h2.origami_core import (
     OneCylinder,
     TwoCylinder,
@@ -42,11 +43,13 @@ from origami_h2.sl2_orbit import (
     orbit_to_json,
     quarter_turn,
     shear,
+    shear_inverse,
     t_power,
     u_orbit_width,
     v_power,
     validate_orbit,
 )
+from oracles import all_turns_orbit
 from test_origami_core import all_one_cylinder_tuples, all_two_cylinder_tuples
 
 
@@ -55,11 +58,12 @@ ORBIT_JSON_GOLDEN = Path(__file__).resolve().parent / "golden" / "orbit_json.jso
 
 def named_orbit_documents(n_max=12) -> dict:
     """``orbit_to_json`` of every named orbit with n ≤ n_max, by ``"<label> <n>"``."""
-    docs = {}
-    for n in range(3, n_max + 1):
-        for label in "C" if n % 2 == 0 else "A" if n == 3 else "AB":
-            docs[f"{label} {n}"] = orbit_to_json(orbit(seed_surface(label, n)))
-    return docs
+    return {f"{label} {n}": orbit_to_json(orbit(seed_surface(label, n))) for label, n in named_seeds(n_max)}
+
+
+def named_seeds(n_max: int) -> list:
+    """(label, n) of every named orbit with n ≤ n_max."""
+    return [(label, n) for n in range(3, n_max + 1) for label in ("C" if n % 2 == 0 else "A" if n == 3 else "AB")]
 
 
 def _malformed_documents() -> list:
@@ -152,10 +156,35 @@ class TestDiagramAction:
         for diag in diags:
             assert quarter_turn(diag) == cylinder_decomposition(apply_S(build_from_diagram(diag))), diag
 
+    @staticmethod
+    def normalised(n_max: int) -> set:
+        return {cylinder_decomposition(build_from_diagram(d)) for d in TestDiagramAction.diagrams(n_max)}
+
+    def test_shear_inverse_is_the_decomposed_inverse_shear(self):
+        diags = self.diagrams(16)
+        assert len(diags) == 10_859
+        for diag in diags:
+            expected = cylinder_decomposition(apply_T_inverse(build_from_diagram(diag)))
+            assert shear_inverse(diag) == expected, diag
+
+    def test_shear_inverse_undoes_shear(self):
+        for diag in self.normalised(16):
+            assert shear(shear_inverse(diag)) == diag == shear_inverse(shear(diag)), diag
+
     def test_quarter_turn_is_an_involution(self):
-        # orbit() sets s_next[image] = diag on the strength of this
-        for diag in {cylinder_decomposition(build_from_diagram(d)) for d in self.diagrams(16)}:
+        # orbit() records every S-edge both ways and reads S(a) = T(c) back
+        # as c = T⁻¹(S(a)) on the strength of this
+        for diag in self.normalised(16):
             assert quarter_turn(quarter_turn(diag)) == diag, diag
+
+    def test_st_has_order_three(self):
+        # (S·T)³ = I on diagrams: orbit() infers the third S-edge of each
+        # f-cycle a → f(a) → f²(a) → a, f = S∘T, from this
+        for diag in self.normalised(16):
+            image = diag
+            for _ in range(3):
+                image = quarter_turn(shear(image))
+            assert image == diag, diag
 
     def test_layout_corners_are_the_scanned_corners(self):
         # the closed-form cuts name the corner squares the scan finds on the
@@ -353,6 +382,40 @@ class TestOrbits:
     def test_base_key_is_orbit_minimum(self, named_orbit):
         orb = named_orbit("C", 4)
         assert orb.base_key == min(orb.surfaces)
+
+
+class TestOrbitAgainstAllTurns:
+    """orbit() infers S-edges; the reference turns every S-pair it meets."""
+
+    @pytest.mark.parametrize("label,n", named_seeds(21))
+    def test_named_orbit(self, named_orbit, label, n):
+        orb = named_orbit(label, n)
+        t_next, s_next = all_turns_orbit(seed_surface(label, n))
+        assert orb.t_next == t_next
+        assert orb.s_next == s_next
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_every_census_start(self, n):
+        starts = enumerate_diagrams(n)
+        assert starts
+        for diag in starts:
+            o = build_from_diagram(diag)
+            orb = orbit(o)
+            assert (orb.t_next, orb.s_next) == all_turns_orbit(o), diag
+
+    def test_quarter_turn_budget(self, monkeypatch):
+        # the all-turns closure makes index / 2; inference leaves about a fifth
+        calls = []
+        real = sl2_orbit.quarter_turn
+
+        def counting(diag):
+            calls.append(diag)
+            return real(diag)
+
+        monkeypatch.setattr(sl2_orbit, "quarter_turn", counting)
+        orb = orbit(seed_surface("B", 29))
+        assert orb.index == 4095
+        assert 0 < len(calls) <= orb.index // 4
 
 
 class TestOrbitJson:
