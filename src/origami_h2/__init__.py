@@ -55,7 +55,6 @@ from .origami_core import (
     parse_diagram,
 )
 from .sl2_orbit import (
-    CuspData,
     MatrixZ,
     Orbit,
     apply_S,
@@ -64,8 +63,6 @@ from .sl2_orbit import (
     level,
     membership,
     orbit,
-    orbit_from_json,
-    orbit_to_json,
     u_orbit_width,
 )
 

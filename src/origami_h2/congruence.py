@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
-from .origami_core import Origami, origami_from_key
+from .origami_core import origami_from_key
 from .sl2_orbit import IDENTITY, Orbit, level, membership, t_power, v_power
 
 

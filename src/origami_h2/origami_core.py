@@ -92,7 +92,10 @@ def _inverse(p: tuple) -> tuple:
 
 
 def _check_perm(p, n: int, name: str) -> None:
-    if len(p) != n or sorted(p) != list(range(n)):
+    if not p:
+        raise ValueError(f"{name} is empty: a surface has at least one square")
+    # by type, since 1.0 and True would pass the sorted comparison
+    if set(map(type, p)) != {int} or len(p) != n or sorted(p) != list(range(n)):
         raise ValueError(f"{name} is not a permutation of 0..{n - 1}: {p!r}")
 
 

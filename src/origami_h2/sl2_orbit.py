@@ -26,10 +26,9 @@ through its Euclidean factorisation into a word in T and S.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .origami_core import (
     CylinderDiagram,
@@ -38,18 +37,13 @@ from .origami_core import (
     TwoCylinder,
     _decompose,
     _inverse,
-    _key_images,
     _layout,
     build_from_diagram,
     canonical_key,
     cylinder_decomposition,
-    key_from_text,
-    key_to_text,
     lattice_index,
     least_rotation,
 )
-
-ORBIT_SCHEMA_VERSION = 3
 
 
 class MatrixZ(NamedTuple):
@@ -192,13 +186,6 @@ def membership(o: Origami, m: MatrixZ) -> bool:
     return canonical_key(apply_matrix(o, m)) == canonical_key(o)
 
 
-class CuspData(NamedTuple):
-    """One T-cycle of an orbit: least key on the cycle and its length."""
-
-    representative: bytes
-    width: int
-
-
 def shear(diag: CylinderDiagram) -> CylinderDiagram:
     """T on a normalised cylinder diagram: each twist moves by its height.
 
@@ -237,20 +224,21 @@ def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
 
 
 class Orbit:
-    """A full SL(2,Z) orbit with its T/S edge structure and cusp partition.
+    """A full SL(2,Z) orbit as its T- and S-edges on cylinder diagrams.
 
-    The orbit is held as its T- and S-edges on normalised cylinder diagrams
-    (``t_next``, ``s_next``).  Index, cusp widths and level are read off
-    them.  The canonical keys, and the views keyed by them (``surfaces``,
-    ``base_key``, ``t_edge``, ``s_edge``, ``cusps``, :meth:`cusp_width`),
-    are computed on first use only.
+    ``t_next`` and ``s_next`` map each normalised cylinder diagram of the
+    orbit to its image under T and under S.  The T-cycles (``cycles``), the
+    width of each diagram's cusp (``width_of``), ``index``, ``diagrams`` and
+    ``cusp_widths`` are read off them.  Canonical keys are made only on
+    demand: :meth:`key` of one diagram, and ``surfaces`` and ``base_key``,
+    which key the whole orbit on first use.
     """
 
-    def __init__(self, n: int, t_next: dict, s_next: dict, keys: Optional[dict] = None):
+    def __init__(self, n: int, t_next: dict, s_next: dict):
         self.n = n
         self.t_next = t_next
         self.s_next = s_next
-        self._keys = dict(keys or {})  # diagram -> canonical key, filled on demand
+        self._keys = {}  # diagram -> canonical key, filled by key()
         self.width_of = {}  # diagram -> width of its cusp
         cycles = []
         for diag in t_next:
@@ -297,27 +285,6 @@ class Orbit:
     def base_key(self) -> bytes:
         """The orbit's least key, whichever member the orbit was launched from."""
         return self.surfaces[0]
-
-    @cached_property
-    def t_edge(self) -> dict:
-        return {self.key(d): self.key(e) for d, e in self.t_next.items()}
-
-    @cached_property
-    def s_edge(self) -> dict:
-        return {self.key(d): self.key(e) for d, e in self.s_next.items()}
-
-    @cached_property
-    def cusps(self) -> tuple:
-        """One CuspData per T-cycle, sorted: least key on the cycle and its width."""
-        return tuple(sorted(CuspData(min(map(self.key, c)), len(c)) for c in self.cycles))
-
-    @cached_property
-    def _diagram_of(self) -> dict:
-        return {self.key(d): d for d in self.t_next}
-
-    def cusp_width(self, key: bytes) -> int:
-        """Width of the cusp whose T-cycle passes through ``key``."""
-        return self.width_of[self._diagram_of[key]]
 
 
 def orbit(o: Origami) -> Orbit:
@@ -366,114 +333,3 @@ def orbit(o: Origami) -> Orbit:
 def level(orb: Orbit) -> int:
     """lcm of the cusp widths: the least ℓ with T^ℓ stabilising every cusp."""
     return lcm(*orb.cusp_widths)
-
-
-def validate_orbit(orb: Orbit) -> None:
-    """Check the orbit's structural invariants; raise ValueError on failure."""
-    keyset = set(orb.surfaces)
-    if len(orb.surfaces) != len(keyset):
-        raise ValueError("duplicate surfaces")
-    if not keyset:
-        raise ValueError("empty orbit")
-    for name, edges in (("t", orb.t_edge), ("s", orb.s_edge)):
-        if set(edges) != keyset or set(edges.values()) != keyset:
-            raise ValueError(f"{name}-edges are not a permutation of the orbit")
-    if sum(c.width for c in orb.cusps) != len(orb.surfaces):
-        raise ValueError("cusp widths do not add up to the orbit size")
-    for cusp in orb.cusps:
-        cur = cusp.representative
-        for _ in range(cusp.width):
-            cur = orb.t_edge[cur]
-        if cur != cusp.representative:
-            raise ValueError("cusp width does not match its T-cycle")
-    if len(_key_images(orb.base_key)[0]) != orb.n:
-        raise ValueError("stored n disagrees with the keys")
-
-
-def orbit_to_json(orb: Orbit) -> str:
-    """Deterministic JSON form (stable ordering, no whitespace).
-
-    ``surfaces`` lists each surface's canonical text once, in key order;
-    ``t_edges``, ``s_edges`` and each cusp's ``rep`` are positions in it.
-    """
-    position = {k: i for i, k in enumerate(orb.surfaces)}
-    doc = {
-        "schema_version": ORBIT_SCHEMA_VERSION,
-        "n": orb.n,
-        "base_key": key_to_text(orb.base_key),
-        "surfaces": [key_to_text(k) for k in orb.surfaces],
-        "t_edges": [position[orb.t_edge[k]] for k in orb.surfaces],
-        "s_edges": [position[orb.s_edge[k]] for k in orb.surfaces],
-        "cusps": [
-            {"rep": position[c.representative], "width": c.width} for c in orb.cusps
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _field(doc: dict, name: str, kind: type):
-    value = doc.get(name)
-    if type(value) is not kind:
-        raise ValueError(f"orbit field {name!r} is not a {kind.__name__}")
-    return value
-
-
-def _index(value, size: int) -> int:
-    # bool is an int subclass, so the type is compared exactly
-    if type(value) is not int or not 0 <= value < size:
-        raise ValueError(f"{value!r} is not an index into the surface list")
-    return value
-
-
-def orbit_from_json(text: str) -> Orbit:
-    """Parse and fully re-validate an orbit document.
-
-    Every surface text is checked once to be the canonical form of a valid
-    surface; edges and cusp representatives must be plain in-range indices.
-    The edges are carried over to the surfaces' cylinder diagrams, which
-    builds the same :class:`Orbit` as :func:`orbit`.  Any malformed document
-    raises ValueError.
-    """
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:
-        raise ValueError("orbit document nests too deeply") from exc
-    if type(doc) is not dict:
-        raise ValueError("orbit document is not a JSON object")
-    if doc.get("schema_version") != ORBIT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported orbit schema: {doc.get('schema_version')!r}")
-    texts = _field(doc, "surfaces", list)
-    if not all(type(t) is str for t in texts):
-        raise ValueError("surface texts must be strings")
-    surfaces = [key_from_text(t) for t in texts]
-    size = len(surfaces)
-    if len(set(surfaces)) != size:
-        raise ValueError("duplicate surfaces")
-    # key_from_text has validated every key, so its surface is not re-checked
-    diagrams = [
-        cylinder_decomposition(Origami(*_key_images(k), check=False)) for k in surfaces
-    ]
-
-    def resolve(name: str) -> dict:
-        targets = [_index(i, size) for i in _field(doc, f"{name}_edges", list)]
-        if len(targets) != size:
-            raise ValueError("edge arrays do not match the surface list")
-        # checked before assembly, which walks T-cycles and needs a bijection
-        if len(set(targets)) != size:
-            raise ValueError(f"{name}-edges are not a permutation of the orbit")
-        return {d: diagrams[i] for d, i in zip(diagrams, targets)}
-
-    t_next, s_next = resolve("t"), resolve("s")
-    base_key = key_from_text(_field(doc, "base_key", str))
-    orb = Orbit(_field(doc, "n", int), t_next, s_next, dict(zip(diagrams, surfaces)))
-    if orb.surfaces[:1] != (base_key,):
-        raise ValueError("base key is not the orbit's canonical representative")
-    stored = []
-    for cusp in _field(doc, "cusps", list):
-        if type(cusp) is not dict or type(cusp.get("width")) is not int:
-            raise ValueError("malformed cusp entry")
-        stored.append(CuspData(surfaces[_index(cusp.get("rep"), size)], cusp["width"]))
-    if stored != list(orb.cusps):
-        raise ValueError("stored cusps disagree with the edge structure")
-    validate_orbit(orb)
-    return orb

@@ -316,7 +316,7 @@ class TestKeysComputed:
 
     def test_noncong_keys_only_the_certified_carriers(self, capsys, monkeypatch, named_orbit):
         orb = named_orbit("B", 29)
-        pair_at = {k: (orb.cusp_width(k), orb.cusp_width(orb.s_edge[k])) for k in orb.surfaces}
+        pair_at = {orb.key(d): (orb.width_of[d], orb.width_of[orb.s_next[d]]) for d in orb.diagrams}
         calls = self.count_keys(monkeypatch)
         rc, out, _ = run(capsys, "--max-orbit-n", "29", "noncong", "B", "29")
         assert rc == 0

@@ -223,12 +223,12 @@ class TestCertificates:
         # brute force over the orbit's (width, S-width) pairs, with the
         # obstruction re-derived from divisor lists and N^3 prod(1 - 1/p^2)
         orb = named_orbit(label, n)
-        d = len(orb.surfaces)
-        width = {key: orb.cusp_width(key) for key in orb.surfaces}
+        d = orb.index
+        width = orb.width_of
         ell = lcm(*width.values())
         carriers = {}
-        for key in orb.surfaces:
-            carriers.setdefault((width[key], width[orb.s_edge[key]]), []).append(key)
+        for diag in orb.diagrams:
+            carriers.setdefault((width[diag], width[orb.s_next[diag]]), []).append(orb.key(diag))
         want = None
         for k, k_prime in sorted(carriers):
             m = max(q for q in _divisors(ell) if gcd(q, k * k_prime) == 1)

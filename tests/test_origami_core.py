@@ -149,6 +149,15 @@ class TestOrigamiValidation:
         with pytest.raises(ValueError):
             Origami((1, 0, 3, 2), (0, 1, 2, 3))
 
+    def test_rejects_empty_pair(self):
+        with pytest.raises(ValueError):
+            Origami((), ())
+
+    def test_rejects_non_integer_entries(self):
+        for right, up in (((1.0, 0), (0, 1.0)), ((True, False), (0, 1))):
+            with pytest.raises(ValueError):
+                Origami(right, up)
+
     def test_commutator_shape_in_h2(self):
         o = build_l_shape(2, 2)
         c = commutator(o)
