@@ -63,6 +63,8 @@ from .sl2_orbit import (
     level,
     membership,
     orbit,
+    orbit_from_json,
+    orbit_to_json,
     u_orbit_width,
 )
 

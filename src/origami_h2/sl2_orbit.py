@@ -26,9 +26,10 @@ through its Euclidean factorisation into a word in T and S.
 
 from __future__ import annotations
 
+import json
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .origami_core import (
     CylinderDiagram,
@@ -37,13 +38,18 @@ from .origami_core import (
     TwoCylinder,
     _decompose,
     _inverse,
+    _key_images,
     _layout,
     build_from_diagram,
     canonical_key,
     cylinder_decomposition,
+    key_from_text,
+    key_to_text,
     lattice_index,
     least_rotation,
 )
+
+ORBIT_SCHEMA_VERSION = 3
 
 
 class MatrixZ(NamedTuple):
@@ -230,15 +236,15 @@ class Orbit:
     orbit to its image under T and under S.  The T-cycles (``cycles``), the
     width of each diagram's cusp (``width_of``), ``index``, ``diagrams`` and
     ``cusp_widths`` are read off them.  Canonical keys are made only on
-    demand: :meth:`key` of one diagram, and ``surfaces`` and ``base_key``,
-    which key the whole orbit on first use.
+    demand, unless ``keys`` passes them in: :meth:`key` of one diagram, and
+    ``surfaces`` and ``base_key``, which key the whole orbit on first use.
     """
 
-    def __init__(self, n: int, t_next: dict, s_next: dict):
+    def __init__(self, n: int, t_next: dict, s_next: dict, keys: Optional[dict] = None):
         self.n = n
         self.t_next = t_next
         self.s_next = s_next
-        self._keys = {}  # diagram -> canonical key, filled by key()
+        self._keys = dict(keys or {})  # diagram -> canonical key, filled by key()
         self.width_of = {}  # diagram -> width of its cusp
         cycles = []
         for diag in t_next:
@@ -333,3 +339,98 @@ def orbit(o: Origami) -> Orbit:
 def level(orb: Orbit) -> int:
     """lcm of the cusp widths: the least ℓ with T^ℓ stabilising every cusp."""
     return lcm(*orb.cusp_widths)
+
+
+def _cusps(orb: Orbit) -> list:
+    """(least key on the T-cycle, width) of each cusp, sorted."""
+    return sorted((min(map(orb.key, cycle)), len(cycle)) for cycle in orb.cycles)
+
+
+def orbit_to_json(orb: Orbit) -> str:
+    """Deterministic JSON form (stable ordering, no whitespace).
+
+    ``surfaces`` lists each surface's canonical text once, in key order;
+    ``t_edges``, ``s_edges`` and each cusp's ``rep`` are positions in it.
+    """
+    order = sorted(orb.diagrams, key=orb.key)
+    position = {d: i for i, d in enumerate(order)}
+    rep_position = {orb.key(d): i for i, d in enumerate(order)}
+    doc = {
+        "schema_version": ORBIT_SCHEMA_VERSION,
+        "n": orb.n,
+        "base_key": key_to_text(orb.base_key),
+        "surfaces": [key_to_text(orb.key(d)) for d in order],
+        "t_edges": [position[orb.t_next[d]] for d in order],
+        "s_edges": [position[orb.s_next[d]] for d in order],
+        "cusps": [{"rep": rep_position[k], "width": w} for k, w in _cusps(orb)],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _field(doc: dict, name: str, kind: type):
+    value = doc.get(name)
+    if type(value) is not kind:
+        raise ValueError(f"orbit field {name!r} is not a {kind.__name__}")
+    return value
+
+
+def _index(value, size: int) -> int:
+    # bool is an int subclass, so the type is compared exactly
+    if type(value) is not int or not 0 <= value < size:
+        raise ValueError(f"{value!r} is not an index into the surface list")
+    return value
+
+
+def orbit_from_json(text: str) -> Orbit:
+    """Parse and fully re-validate an orbit document.
+
+    Every surface text is checked once to be the canonical form of a valid
+    surface; edges and cusp representatives must be plain in-range indices.
+    The edges are carried over to the surfaces' cylinder diagrams, which
+    builds the same :class:`Orbit` as :func:`orbit`.  Any malformed document
+    raises ValueError.
+    """
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("orbit document nests too deeply") from exc
+    if type(doc) is not dict:
+        raise ValueError("orbit document is not a JSON object")
+    if doc.get("schema_version") != ORBIT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported orbit schema: {doc.get('schema_version')!r}")
+    texts = _field(doc, "surfaces", list)
+    if not all(type(t) is str for t in texts):
+        raise ValueError("surface texts must be strings")
+    surfaces = [key_from_text(t) for t in texts]
+    size = len(surfaces)
+    if len(set(surfaces)) != size:
+        raise ValueError("duplicate surfaces")
+    # key_from_text has validated every key, so its surface is not re-checked
+    diagrams = [
+        cylinder_decomposition(Origami(*_key_images(k), check=False)) for k in surfaces
+    ]
+
+    def resolve(name: str) -> dict:
+        targets = [_index(i, size) for i in _field(doc, f"{name}_edges", list)]
+        if len(targets) != size:
+            raise ValueError("edge arrays do not match the surface list")
+        # checked before assembly, which walks T-cycles and needs a bijection
+        if len(set(targets)) != size:
+            raise ValueError(f"{name}-edges are not a permutation of the orbit")
+        return {d: diagrams[i] for d, i in zip(diagrams, targets)}
+
+    t_next, s_next = resolve("t"), resolve("s")
+    base_key = key_from_text(_field(doc, "base_key", str))
+    orb = Orbit(_field(doc, "n", int), t_next, s_next, dict(zip(diagrams, surfaces)))
+    if orb.surfaces[:1] != (base_key,):
+        raise ValueError("base key is not the orbit's canonical representative")
+    if len(_key_images(base_key)[0]) != orb.n:
+        raise ValueError("stored n disagrees with the keys")
+    stored = []
+    for cusp in _field(doc, "cusps", list):
+        if type(cusp) is not dict or type(cusp.get("width")) is not int:
+            raise ValueError("malformed cusp entry")
+        stored.append((surfaces[_index(cusp.get("rep"), size)], cusp["width"]))
+    if stored != _cusps(orb):
+        raise ValueError("stored cusps disagree with the edge structure")
+    return orb

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,10 +21,12 @@ from origami_h2.origami_core import (
     integer_weierstrass_count,
     is_primitive,
     origami_from_key,
+    key_to_text,
     relabel,
 )
 from origami_h2.sl2_orbit import (
     IDENTITY,
+    ORBIT_SCHEMA_VERSION,
     S,
     T,
     V,
@@ -35,6 +39,8 @@ from origami_h2.sl2_orbit import (
     level,
     membership,
     orbit,
+    orbit_from_json,
+    orbit_to_json,
     quarter_turn,
     shear,
     shear_inverse,
@@ -46,9 +52,51 @@ from oracles import all_turns_orbit
 from test_origami_core import all_one_cylinder_tuples, all_two_cylinder_tuples
 
 
+ORBIT_JSON_GOLDEN = Path(__file__).resolve().parent / "golden" / "orbit_json.json"
+
+
+def named_orbit_documents(n_max=12) -> dict:
+    """``orbit_to_json`` of every named orbit with n ≤ n_max, by ``"<label> <n>"``."""
+    return {f"{label} {n}": orbit_to_json(orbit(seed_surface(label, n))) for label, n in named_seeds(n_max)}
+
+
 def named_seeds(n_max: int) -> list:
     """(label, n) of every named orbit with n ≤ n_max."""
     return [(label, n) for n in range(3, n_max + 1) for label in ("C" if n % 2 == 0 else "A" if n == 3 else "AB")]
+
+
+def _malformed_documents() -> list:
+    """Malformed variants of the A3 orbit document (3 surfaces, n = 3)."""
+    good = json.loads(orbit_to_json(orbit(seed_surface("A", 3))))
+    cases = [
+        pytest.param(text, id=name)
+        for name, text in (
+            ("empty", ""), ("truncated", "{"), ("list", "[]"), ("null", "null"),
+            ("number", "5"), ("string", '"x"'), ("deep", "[" * 100_000), ("no-fields", "{}"),
+        )
+    ]
+
+    def variant(name: str, **changes) -> None:
+        doc = {k: v for k, v in {**good, **changes}.items() if v is not _DROP}
+        cases.append(pytest.param(json.dumps(doc), id=name))
+
+    for field in good:
+        variant(f"{field}-missing", **{field: _DROP})
+        for value in (None, 7, -1, 3.5, True, "x", [], {}, ["x"], [7]):
+            variant(f"{field}={json.dumps(value)}", **{field: value})
+    for cusps in ([5], [{}], [{"rep": 0}], [{"width": 1}]):
+        variant(f"cusps={json.dumps(cusps)}", cusps=cusps)
+    # the width-1 cusp gets values that compare equal to 1 but are not ints
+    for width in (None, "1", True, 1.0):
+        cusps = [{**c, "width": width} if c["width"] == 1 else c for c in good["cusps"]]
+        variant(f"width={json.dumps(width)}", cusps=cusps)
+    for text in (5, None):
+        variant(f"surface={json.dumps(text)}", surfaces=[text, *good["surfaces"][1:]])
+    variant("empty-orbit", surfaces=[], t_edges=[], s_edges=[], cusps=[])
+    return cases
+
+
+_DROP = object()
 
 
 class TestShears:
@@ -370,3 +418,157 @@ class TestOrbitAgainstAllTurns:
         orb = orbit(seed_surface("B", 29))
         assert orb.index == 4095
         assert 0 < len(calls) <= orb.index // 4
+
+
+class TestOrbitJson:
+    def test_round_trip(self, named_orbit):
+        orb = named_orbit("B", 5)
+        text = orbit_to_json(orb)
+        back = orbit_from_json(text)
+        assert (back.t_next, back.s_next) == (orb.t_next, orb.s_next)
+        assert back.surfaces == orb.surfaces
+        assert back.width_of == orb.width_of
+        assert sorted(min(map(back.key, c)) for c in back.cycles) == sorted(
+            min(map(orb.key, c)) for c in orb.cycles
+        )
+        assert orbit_to_json(back) == text
+
+    def test_rejects_wrong_schema(self, named_orbit):
+        doc = json.loads(orbit_to_json(named_orbit("A", 3)))
+        doc["schema_version"] = 99
+        with pytest.raises(ValueError):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_previous_schema(self, named_orbit):
+        assert ORBIT_SCHEMA_VERSION == 3
+        doc = json.loads(orbit_to_json(named_orbit("A", 3)))
+        doc["schema_version"] = 1
+        with pytest.raises(ValueError, match="unsupported orbit schema"):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_schema_2_document(self, named_orbit, as_schema_2):
+        v2 = as_schema_2(orbit_to_json(named_orbit("B", 5)))
+        assert json.loads(v2)["t_edges"][0] in json.loads(v2)["surfaces"]
+        with pytest.raises(ValueError, match="unsupported orbit schema: 2"):
+            orbit_from_json(v2)
+
+    def test_edges_are_surface_indices(self, named_orbit):
+        orb = named_orbit("B", 5)
+        doc = json.loads(orbit_to_json(orb))
+        assert doc["surfaces"] == [key_to_text(k) for k in orb.surfaces]
+        assert doc["base_key"] == doc["surfaces"][0]
+        diagram_of = {orb.key(d): d for d in orb.diagrams}
+        for i, key in enumerate(orb.surfaces):
+            d = diagram_of[key]
+            assert orb.surfaces[doc["t_edges"][i]] == orb.key(orb.t_next[d])
+            assert orb.surfaces[doc["s_edges"][i]] == orb.key(orb.s_next[d])
+        cusps = sorted((min(map(orb.key, c)), len(c)) for c in orb.cycles)
+        assert [(orb.surfaces[c["rep"]], c["width"]) for c in doc["cusps"]] == cusps
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda size: size, lambda size: -size, lambda size: False, lambda size: 0.0, lambda size: "0"],
+        ids=["out-of-range", "negative", "bool", "float", "string"],
+    )
+    @pytest.mark.parametrize("field", ["t_edges", "s_edges", "rep"])
+    def test_rejects_bad_index(self, named_orbit, field, bad):
+        # the tampered entry is an index 0, so each bad value other than the
+        # out-of-range one would name the same surface if it were accepted
+        # (-size through Python's negative indexing, False/0.0/"0" by coercion)
+        doc = json.loads(orbit_to_json(named_orbit("B", 5)))
+        size = len(doc["surfaces"])
+        if field == "rep":
+            assert doc["cusps"][0]["rep"] == 0
+            doc["cusps"][0]["rep"] = bad(size)
+        else:
+            doc[field][doc[field].index(0)] = bad(size)
+        with pytest.raises(ValueError, match="not an index into the surface list"):
+            orbit_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["t_edges", "s_edges"])
+    def test_rejects_edges_that_are_not_a_permutation(self, named_orbit, field):
+        doc = json.loads(orbit_to_json(named_orbit("B", 5)))
+        edges = doc[field]
+        edges[1] = edges[0]
+        with pytest.raises(ValueError, match=f"{field[0]}-edges are not a permutation"):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_cusp_with_wrong_rep(self, named_orbit):
+        doc = json.loads(orbit_to_json(named_orbit("B", 5)))
+        doc["cusps"][0]["rep"] = doc["t_edges"][doc["cusps"][0]["rep"]]
+        with pytest.raises(ValueError, match="stored cusps disagree"):
+            orbit_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", _malformed_documents())
+    def test_malformed_document_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            orbit_from_json(text)
+
+    def test_rejects_duplicate_surface(self, named_orbit):
+        doc = json.loads(orbit_to_json(named_orbit("A", 3)))
+        doc["surfaces"][1] = doc["surfaces"][0]
+        with pytest.raises(ValueError, match="duplicate surfaces"):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_tampered_edges(self, named_orbit):
+        doc = json.loads(orbit_to_json(named_orbit("A", 3)))
+        doc["t_edges"] = doc["t_edges"][::-1]
+        with pytest.raises(ValueError):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_dropped_surface(self, named_orbit):
+        doc = json.loads(orbit_to_json(named_orbit("A", 3)))
+        for field in ("surfaces", "t_edges", "s_edges"):
+            doc[field] = doc[field][1:]
+        with pytest.raises(ValueError):
+            orbit_from_json(json.dumps(doc))
+
+
+def test_orbit_json_matches_golden(named_orbit):
+    # schema 3 bytes of every named orbit with n <= 12; regenerate with:
+    # PYTHONPATH=src python3 tests/test_sl2_orbit.py
+    golden = json.loads(ORBIT_JSON_GOLDEN.read_text())
+    assert len(golden) == 14
+    for name, doc in golden.items():
+        label, n = name.split()
+        assert orbit_to_json(named_orbit(label, int(n))) == doc, name
+
+
+class TestCodecCounts:
+    """Each surface's text is made once on write and checked once on read."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name: str) -> list:
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_write_formats_each_surface_once(self, monkeypatch, named_orbit):
+        orb = named_orbit("A", 7)
+        calls = self.count_calls(monkeypatch, sl2_orbit, "key_to_text")
+        orbit_to_json(orb)
+        assert 0 < len(calls) <= orb.index + 1  # plus the base key
+
+    def test_read_parses_each_surface_once(self, monkeypatch, named_orbit):
+        orb = named_orbit("A", 7)
+        text = orbit_to_json(orb)
+        calls = self.count_calls(monkeypatch, sl2_orbit, "key_from_text")
+        orbit_from_json(text)
+        assert len(calls) == orb.index + 1  # plus the base key
+
+    def test_read_checks_transitivity_once_per_surface(self, monkeypatch, named_orbit):
+        orb = named_orbit("A", 7)
+        text = orbit_to_json(orb)
+        calls = self.count_calls(monkeypatch, origami_core, "_is_transitive")
+        orbit_from_json(text)
+        assert len(calls) == orb.index + 1  # plus the base key
+
+
+if __name__ == "__main__":
+    ORBIT_JSON_GOLDEN.write_text(json.dumps(named_orbit_documents(), indent=1) + "\n")
