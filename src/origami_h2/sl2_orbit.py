@@ -11,24 +11,26 @@ Orbits of the whole group are computed by closure under T and S on
 normalised cylinder diagrams, which name H(2) surfaces completely.  On
 a diagram T is twist arithmetic (:func:`shear`): a two-cylinder diagram
 takes t1 + h1 (mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h
-(mod w) and then its least rotation.  S (:func:`quarter_turn`) decomposes
+(mod w) and then its least rotation.  The T-cycles of an orbit are its
+cusps; the arithmetic gives each one whole (:func:`t_cycle`), and T⁻¹ is
+a member's predecessor on it.  S (:func:`quarter_turn`) decomposes
 the turned surface laid out from the diagram, without building it, and
 S² = −I fixes every H(2) surface (the hyperelliptic involution), so one
 quarter turn gives both S-edges of a pair.  With these matrices
 S·T = [[0,1],[−1,−1]], (S·T)² = [[−1,−1],[1,0]] and (S·T)³ = I, so
 f = S∘T has order dividing 3 on diagrams: of the three S-edges of an
 f-cycle a → f(a) → f²(a) → a, any two give the third, and the orbit makes
-about one quarter turn for every five surfaces.  The T-cycles of an orbit are its
-cusps; the cusp width is the cycle length and their least common multiple
-is the level of the stabiliser.  An arbitrary unimodular matrix acts
-through its Euclidean factorisation into a word in T and S.
+about one quarter turn for every five surfaces.  The cusp width is the
+T-cycle length, and the lcm of the widths is the level of the stabiliser.
+An arbitrary unimodular matrix acts through its Euclidean factorisation
+into a word in T and S.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .origami_core import (
@@ -205,13 +207,25 @@ def shear(diag: CylinderDiagram) -> CylinderDiagram:
     return least_rotation(OneCylinder(l1, l2, l3, (t - h) % (l1 + l2 + l3), h))
 
 
-def shear_inverse(diag: CylinderDiagram) -> CylinderDiagram:
-    """T⁻¹ on a normalised cylinder diagram: :func:`shear` with each step undone."""
+def t_cycle(diag: CylinderDiagram) -> list:
+    """The T-cycle (cusp) of a normalised diagram, in T-order from ``diag``.
+
+    Each twist steps by its height, so the cycle closes after the lcm of the
+    steps' orders.  Unequal one-cylinder lengths alone fix the least reading;
+    equal ones (primitive only at n = 3) iterate :func:`shear`.
+    """
     if isinstance(diag, TwoCylinder):
         h1, h2, w1, w2, t1, t2 = diag
-        return TwoCylinder(h1, h2, w1, w2, (t1 - h1) % w1, (t2 - h2) % w2)
+        k = lcm(w1 // gcd(w1, h1), w2 // gcd(w2, h2))
+        return [TwoCylinder(h1, h2, w1, w2, (t1 + j * h1) % w1, (t2 + j * h2) % w2) for j in range(k)]
     l1, l2, l3, t, h = diag
-    return least_rotation(OneCylinder(l1, l2, l3, (t + h) % (l1 + l2 + l3), h))
+    if l1 == l2 == l3:
+        cycle = [diag]
+        while (cur := shear(cycle[-1])) != diag:
+            cycle.append(cur)
+        return cycle
+    w = l1 + l2 + l3
+    return [OneCylinder(l1, l2, l3, (t - j * h) % w, h) for j in range(w // gcd(w, h))]
 
 
 def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
@@ -233,31 +247,21 @@ class Orbit:
     """A full SL(2,Z) orbit as its T- and S-edges on cylinder diagrams.
 
     ``t_next`` and ``s_next`` map each normalised cylinder diagram of the
-    orbit to its image under T and under S.  The T-cycles (``cycles``), the
-    width of each diagram's cusp (``width_of``), ``index``, ``diagrams`` and
-    ``cusp_widths`` are read off them.  Canonical keys are made only on
-    demand, unless ``keys`` passes them in: :meth:`key` of one diagram, and
-    ``surfaces`` and ``base_key``, which key the whole orbit on first use.
+    orbit to its image under T and under S.  ``cycles`` lists its cusps,
+    each in T-order as :func:`orbit` generated it whole, so T⁻¹ of a diagram
+    is its predecessor there.  The width of each diagram's cusp
+    (``width_of``), ``index``, ``diagrams`` and ``cusp_widths`` are read off
+    them.  Canonical keys are made only on demand, unless ``keys`` passes
+    them in: :meth:`key` of one diagram, and ``surfaces`` and ``base_key``,
+    which key the whole orbit on first use.
     """
 
-    def __init__(self, n: int, t_next: dict, s_next: dict, keys: Optional[dict] = None):
+    def __init__(self, n: int, t_next: dict, s_next: dict, cycles: list, keys: Optional[dict] = None):
         self.n = n
         self.t_next = t_next
         self.s_next = s_next
         self._keys = dict(keys or {})  # diagram -> canonical key, filled by key()
-        self.width_of = {}  # diagram -> width of its cusp
-        cycles = []
-        for diag in t_next:
-            if diag in self.width_of:
-                continue
-            cycle = [diag]
-            cur = t_next[diag]
-            while cur != diag:
-                cycle.append(cur)
-                cur = t_next[cur]
-            for d in cycle:
-                self.width_of[d] = len(cycle)
-            cycles.append(cycle)
+        self.width_of = {d: len(cycle) for cycle in cycles for d in cycle}
         self.cycles = cycles
 
     @property
@@ -303,37 +307,51 @@ def orbit(o: Origami) -> Orbit:
     S(c) gives b = T⁻¹(S(c)).  Only a still missing b or c costs a quarter
     turn, and T(c)–a is never turned: f(c) = a.  A fixed point of f is the
     cycle a = b = c.  The T-images of the cycle are closed next, so the
-    forward closure is the full group orbit.  No canonical key is computed.
+    forward closure is the full group orbit.  The first T asked of a cusp
+    generates it whole (:func:`t_cycle`), recording T and T⁻¹ (the
+    predecessor) of every member.  No canonical key is computed.
     """
     start = cylinder_decomposition(o)
     if lattice_index(start) != 1:
         raise ValueError("orbit computation expects a primitive surface")
-    t_next = {}
-    s_next = {}
+    t_next, t_prev, s_next = {}, {}, {}
+    cycles = []
+
+    def cusp_of(diag: CylinderDiagram) -> CylinderDiagram:
+        # T(diag), recording diag's whole cusp
+        cycle = t_cycle(diag)
+        cycles.append(cycle)
+        images = cycle[1:] + cycle[:1]
+        t_next.update(zip(cycle, images))
+        t_prev.update(zip(images, cycle))
+        return images[0]
+
+    closed = set()  # members of the f-cycles already walked
     todo = [start]
     while todo:
         a = todo.pop()
-        if a in t_next:  # its f-cycle is closed
+        if a in closed:
             continue
-        ta = t_next[a] = shear(a)
+        ta = t_next.get(a) or cusp_of(a)
         b = s_next.get(ta)
         sa = s_next.get(a)
-        c = None if sa is None else shear_inverse(sa)
+        c = None if sa is None else t_prev[sa]
         if b is None:
             sc = None if c is None else s_next.get(c)
-            b = quarter_turn(ta) if sc is None else shear_inverse(sc)
+            b = quarter_turn(ta) if sc is None else t_prev[sc]
             s_next[ta] = b
             s_next[b] = ta
-        tb = t_next[b] = shear(b)
+        tb = t_next.get(b) or cusp_of(b)
         if c is None:
             c = s_next.get(tb) or quarter_turn(tb)
         s_next[tb] = c
         s_next[c] = tb
-        tc = t_next[c] = shear(c)
+        tc = t_next.get(c) or cusp_of(c)
         s_next[tc] = a
         s_next[a] = tc
+        closed.update((a, b, c))
         todo += (ta, tb, tc)
-    return Orbit(o.n, t_next, s_next)
+    return Orbit(o.n, t_next, s_next, cycles)
 
 
 def level(orb: Orbit) -> int:
@@ -414,14 +432,22 @@ def orbit_from_json(text: str) -> Orbit:
         targets = [_index(i, size) for i in _field(doc, f"{name}_edges", list)]
         if len(targets) != size:
             raise ValueError("edge arrays do not match the surface list")
-        # checked before assembly, which walks T-cycles and needs a bijection
+        # checked before the T-edges are walked into cycles, which needs a bijection
         if len(set(targets)) != size:
             raise ValueError(f"{name}-edges are not a permutation of the orbit")
         return {d: diagrams[i] for d, i in zip(diagrams, targets)}
 
     t_next, s_next = resolve("t"), resolve("s")
+    cycles, seen = [], set()
+    for diag in t_next:
+        if diag not in seen:
+            cycle = [diag]
+            while (cur := t_next[cycle[-1]]) != diag:
+                cycle.append(cur)
+            seen.update(cycle)
+            cycles.append(cycle)
     base_key = key_from_text(_field(doc, "base_key", str))
-    orb = Orbit(_field(doc, "n", int), t_next, s_next, dict(zip(diagrams, surfaces)))
+    orb = Orbit(_field(doc, "n", int), t_next, s_next, cycles, dict(zip(diagrams, surfaces)))
     if orb.surfaces[:1] != (base_key,):
         raise ValueError("base key is not the orbit's canonical representative")
     if len(_key_images(base_key)[0]) != orb.n:

@@ -43,7 +43,7 @@ from origami_h2.sl2_orbit import (
     orbit_to_json,
     quarter_turn,
     shear,
-    shear_inverse,
+    t_cycle,
     t_power,
     u_orbit_width,
     v_power,
@@ -159,16 +159,28 @@ class TestDiagramAction:
     def normalised(n_max: int) -> set:
         return {cylinder_decomposition(build_from_diagram(d)) for d in TestDiagramAction.diagrams(n_max)}
 
+    def test_t_cycle_is_the_iterated_shear(self):
+        # the closed form against T applied one step at a time, imprimitive
+        # diagrams included; 1cyl(1,1,1;0;1) keeps cusp width 1
+        for diag in self.normalised(16):
+            cycle = [diag]
+            while (image := shear(cycle[-1])) != diag:
+                cycle.append(image)
+            assert t_cycle(diag) == cycle, diag
+        assert t_cycle(OneCylinder(1, 1, 1, 0, 1)) == [OneCylinder(1, 1, 1, 0, 1)]
+
     def test_shear_inverse_is_the_decomposed_inverse_shear(self):
-        diags = self.diagrams(16)
-        assert len(diags) == 10_859
-        for diag in diags:
+        # orbit() reads T⁻¹ of a diagram as its predecessor on the cusp
+        for diag in self.normalised(16):
             expected = cylinder_decomposition(apply_T_inverse(build_from_diagram(diag)))
-            assert shear_inverse(diag) == expected, diag
+            assert t_cycle(diag)[-1] == expected, diag
 
     def test_shear_inverse_undoes_shear(self):
+        # the cusp starts at its diagram, and its predecessor, read as T⁻¹,
+        # undoes T both ways
         for diag in self.normalised(16):
-            assert shear(shear_inverse(diag)) == diag == shear_inverse(shear(diag)), diag
+            assert t_cycle(diag)[0] == diag
+            assert shear(t_cycle(diag)[-1]) == diag == t_cycle(shear(diag))[-1], diag
 
     def test_quarter_turn_is_an_involution(self):
         # orbit() records every S-edge both ways and reads S(a) = T(c) back
@@ -418,6 +430,20 @@ class TestOrbitAgainstAllTurns:
         orb = orbit(seed_surface("B", 29))
         assert orb.index == 4095
         assert 0 < len(calls) <= orb.index // 4
+
+    def test_cusp_budget(self, monkeypatch):
+        # T comes from whole cusps, each generated once; no diagram is sheared
+        calls = {name: [] for name in ("shear", "t_cycle", "quarter_turn")}
+        for name, seen in calls.items():
+            def counting(diag, real=getattr(sl2_orbit, name), seen=seen):
+                seen.append(diag)
+                return real(diag)
+
+            monkeypatch.setattr(sl2_orbit, name, counting)
+        orb = orbit(seed_surface("B", 29))
+        assert len(calls["shear"]) == 0
+        assert len(calls["t_cycle"]) == len(orb.cycles) == 199
+        assert len(calls["quarter_turn"]) == 843
 
 
 class TestOrbitJson:
