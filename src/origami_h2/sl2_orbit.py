@@ -212,19 +212,15 @@ def t_cycle(diag: CylinderDiagram) -> list:
 
     Each twist steps by its height, so the cycle closes after the lcm of the
     steps' orders.  Unequal one-cylinder lengths alone fix the least reading;
-    equal ones (primitive only at n = 3) iterate :func:`shear`.
+    equal ones l read the twist as t, t + l and t + 2l (mod 3l), so the
+    least reading keeps it mod l.
     """
     if isinstance(diag, TwoCylinder):
         h1, h2, w1, w2, t1, t2 = diag
         k = lcm(w1 // gcd(w1, h1), w2 // gcd(w2, h2))
         return [TwoCylinder(h1, h2, w1, w2, (t1 + j * h1) % w1, (t2 + j * h2) % w2) for j in range(k)]
     l1, l2, l3, t, h = diag
-    if l1 == l2 == l3:
-        cycle = [diag]
-        while (cur := shear(cycle[-1])) != diag:
-            cycle.append(cur)
-        return cycle
-    w = l1 + l2 + l3
+    w = l1 if l1 == l2 == l3 else l1 + l2 + l3
     return [OneCylinder(l1, l2, l3, (t - j * h) % w, h) for j in range(w // gcd(w, h))]
 
 
