@@ -14,6 +14,7 @@ All index arithmetic is exact integer work on prime factorisations:
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
@@ -242,20 +243,17 @@ def noncongruence_search(orb: Orbit) -> Optional[NoncongruenceCertificate]:
     passes the arithmetic obstruction yields the certificate, on the least
     key carrying that pair, after full re-verification.  The reported
     (k, k′, m, δ) is thus an invariant of the orbit, not of the key bytes.
-    Pairs are read off the cylinder diagrams, so only the carriers of the
-    certifying pair are keyed.  None means inconclusive — the criterion is
-    one-sided and never proves congruence.
+    Pairs are read off the width at each position and ``s_perm``, so only
+    the carriers of the certifying pair are keyed.  None means
+    inconclusive — the criterion is one-sided and never proves congruence.
     """
     d = orb.index
     ell = level(orb)
-    width = orb.width_of
-    carriers = {}
-    for diag, image in orb.s_next.items():
-        carriers.setdefault((width[diag], width[image]), []).append(diag)
-    for (k, k_prime), diags in sorted(carriers.items()):
+    pairs = list(zip(orb.widths, map(orb.widths.__getitem__, orb.s_perm)))
+    for k, k_prime in sorted(set(pairs)):
         witness = index_obstruction_check(d, ell, k, k_prime)
         if witness is not None:
-            key = min(map(orb.key, diags))
+            key = min(map(orb.key, compress(orb.diagrams, map((k, k_prime).__eq__, pairs))))
             cert = NoncongruenceCertificate(
                 key, k, k_prime, d, ell, witness.m, witness.delta
             )

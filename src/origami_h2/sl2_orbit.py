@@ -9,19 +9,26 @@ The generators act on the permutation pair by precomposition:
 
 Orbits of the whole group are computed by closure under T and S on
 normalised cylinder diagrams, which name H(2) surfaces completely.  On
-a diagram T is twist arithmetic (:func:`shear`): a two-cylinder diagram
-takes t1 + h1 (mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h
-(mod w) and then its least rotation.  The T-cycles of an orbit are its
-cusps; the arithmetic gives each one whole (:func:`t_cycle`), and T⁻¹ is
-a member's predecessor on it.  S (:func:`quarter_turn`) decomposes
+a diagram T is twist arithmetic: a two-cylinder diagram takes t1 + h1
+(mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h (mod w) and then
+its least rotation.  The T-cycles of an orbit are its cusps; the
+arithmetic gives each one whole (:func:`t_cycle`), and T⁻¹ is a member's
+predecessor on it.  S (:func:`quarter_turn`) decomposes
 the turned surface laid out from the diagram, without building it, and
 S² = −I fixes every H(2) surface (the hyperelliptic involution), so one
 quarter turn gives both S-edges of a pair.  With these matrices
 S·T = [[0,1],[−1,−1]], (S·T)² = [[−1,−1],[1,0]] and (S·T)³ = I, so
 f = S∘T has order dividing 3 on diagrams: of the three S-edges of an
-f-cycle a → f(a) → f²(a) → a, any two give the third, and the orbit makes
-about one quarter turn for every five surfaces.  The cusp width is the
-T-cycle length, and the lcm of the widths is the level of the stabiliser.
+f-cycle a → f(a) → f²(a) → a, any two give the third.
+
+The mirror ρ = diag(1, −1) is not in SL(2,Z) but normalises it: on
+surfaces it sends (right, up) to (right, up⁻¹) (:func:`reflect`).  From
+ρTρ = T⁻¹ and ρSρ = S⁻¹ = −S, with −I acting trivially, T(ρx) = ρT⁻¹(x)
+and S(ρx) = ρS(x): ρ maps each cusp onto a cusp read in reverse T-order,
+and each S-edge x–y onto the S-edge ρx–ρy.  Every quarter turn therefore
+also gives the S-edges of its mirror pair, and the orbit makes about
+0.13 quarter turns per surface.  The cusp width is the T-cycle length,
+and the lcm of the widths is the level of the stabiliser.
 An arbitrary unimodular matrix acts through its Euclidean factorisation
 into a word in T and S.
 """
@@ -96,10 +103,6 @@ def apply_T(o: Origami) -> Origami:
     """The horizontal shear: (right, up) ↦ (right, up∘right⁻¹)."""
     rinv = _inverse(o.right)
     return Origami(o.right, tuple(o.up[j] for j in rinv), check=False)
-
-
-def apply_T_inverse(o: Origami) -> Origami:
-    return Origami(o.right, tuple(o.up[j] for j in o.right), check=False)
 
 
 def apply_S(o: Origami) -> Origami:
@@ -194,19 +197,6 @@ def membership(o: Origami, m: MatrixZ) -> bool:
     return canonical_key(apply_matrix(o, m)) == canonical_key(o)
 
 
-def shear(diag: CylinderDiagram) -> CylinderDiagram:
-    """T on a normalised cylinder diagram: each twist moves by its height.
-
-    Equal to ``cylinder_decomposition(apply_T(build_from_diagram(diag)))``;
-    the sign of the one-cylinder step follows the builders' conventions.
-    """
-    if isinstance(diag, TwoCylinder):
-        h1, h2, w1, w2, t1, t2 = diag
-        return TwoCylinder(h1, h2, w1, w2, (t1 + h1) % w1, (t2 + h2) % w2)
-    l1, l2, l3, t, h = diag
-    return least_rotation(OneCylinder(l1, l2, l3, (t - h) % (l1 + l2 + l3), h))
-
-
 def t_cycle(diag: CylinderDiagram) -> list:
     """The T-cycle (cusp) of a normalised diagram, in T-order from ``diag``.
 
@@ -222,6 +212,21 @@ def t_cycle(diag: CylinderDiagram) -> list:
     l1, l2, l3, t, h = diag
     w = l1 if l1 == l2 == l3 else l1 + l2 + l3
     return [OneCylinder(l1, l2, l3, (t - j * h) % w, h) for j in range(w // gcd(w, h))]
+
+
+def reflect(diag: CylinderDiagram) -> CylinderDiagram:
+    """ρ = diag(1, −1) on a normalised diagram: the surface (right, up⁻¹).
+
+    Upside down, each cylinder keeps its height and width and its twist
+    changes sign.  A one-cylinder top turns into the bottom, which carries
+    the cuts in reversed order, so (l1, l2, l3, t) reads (l3, l2, l1, −t)
+    before its least rotation.
+    """
+    if isinstance(diag, TwoCylinder):
+        h1, h2, w1, w2, t1, t2 = diag
+        return TwoCylinder(h1, h2, w1, w2, -t1 % w1, -t2 % w2)
+    l1, l2, l3, t, h = diag
+    return least_rotation(OneCylinder(l3, l2, l1, -t % (l1 + l2 + l3), h))
 
 
 def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
@@ -240,40 +245,59 @@ def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
 
 
 class Orbit:
-    """A full SL(2,Z) orbit as its T- and S-edges on cylinder diagrams.
+    """A full SL(2,Z) orbit as the T- and S-permutations of its positions.
 
-    ``t_next`` and ``s_next`` map each normalised cylinder diagram of the
-    orbit to its image under T and under S.  ``cycles`` lists its cusps,
-    each in T-order as :func:`orbit` generated it whole, so T⁻¹ of a diagram
-    is its predecessor there.  The width of each diagram's cusp
-    (``width_of``), ``index``, ``diagrams`` and ``cusp_widths`` are read off
-    them.  Canonical keys are made only on demand, unless ``keys`` passes
-    them in: :meth:`key` of one diagram, and ``surfaces`` and ``base_key``,
-    which key the whole orbit on first use.
+    ``position`` numbers each normalised cylinder diagram of the orbit, and
+    ``t_perm`` and ``s_perm`` send a position to that of its image under T
+    and under S.  ``cycles`` lists the cusps in T-order, and they take
+    consecutive positions in that order, so ``widths`` (the cusp width at
+    each position) is read off them.  ``diagrams`` are the keys of
+    ``position``, and the dict views ``t_next``, ``s_next`` and ``width_of``
+    are built on first use.  Canonical keys are made only on demand, unless
+    ``keys`` passes them in: :meth:`key` of one diagram, and ``surfaces``
+    and ``base_key``, which key the whole orbit on first use.
     """
 
-    def __init__(self, n: int, t_next: dict, s_next: dict, cycles: list, keys: Optional[dict] = None):
+    def __init__(self, n: int, position: dict, t_perm: list, s_perm: list, cycles: list,
+                 keys: Optional[dict] = None):
         self.n = n
-        self.t_next = t_next
-        self.s_next = s_next
-        self._keys = dict(keys or {})  # diagram -> canonical key, filled by key()
-        self.width_of = {d: len(cycle) for cycle in cycles for d in cycle}
+        self.position = position
+        self.t_perm = t_perm
+        self.s_perm = s_perm
         self.cycles = cycles
+        self._keys = dict(keys or {})  # diagram -> canonical key, filled by key()
 
     @property
     def index(self) -> int:
         """The stabiliser's index in SL(2,Z): the orbit's cardinality."""
-        return len(self.t_next)
+        return len(self.t_perm)
 
     @property
     def diagrams(self):
-        """The orbit's surfaces as normalised cylinder diagrams (a set-like view)."""
-        return self.t_next.keys()
+        """The orbit's surfaces as normalised cylinder diagrams, in position order."""
+        return self.position.keys()
 
     @property
     def cusp_widths(self) -> list:
         """The T-cycle lengths, sorted."""
         return sorted(len(cycle) for cycle in self.cycles)
+
+    @cached_property
+    def widths(self) -> list:
+        """The width of each position's cusp."""
+        return [len(cycle) for cycle in self.cycles for _ in cycle]
+
+    @cached_property
+    def t_next(self) -> dict:
+        return dict(zip(self.position, map(list(self.position).__getitem__, self.t_perm)))
+
+    @cached_property
+    def s_next(self) -> dict:
+        return dict(zip(self.position, map(list(self.position).__getitem__, self.s_perm)))
+
+    @cached_property
+    def width_of(self) -> dict:
+        return dict(zip(self.position, self.widths))
 
     def key(self, diag: CylinderDiagram) -> bytes:
         """The canonical key of the orbit's surface ``diag``."""
@@ -285,7 +309,7 @@ class Orbit:
     @cached_property
     def surfaces(self) -> tuple:
         """The canonical keys of the orbit, sorted."""
-        return tuple(sorted(map(self.key, self.t_next)))
+        return tuple(sorted(map(self.key, self.position)))
 
     @cached_property
     def base_key(self) -> bytes:
@@ -293,61 +317,104 @@ class Orbit:
         return self.surfaces[0]
 
 
-def orbit(o: Origami) -> Orbit:
-    """Closure of {o} under T and S on normalised cylinder diagrams.
+def _reversed_cusp(base: int, e0: int, k: int) -> list:
+    """[base + (e0 − j) mod k for j < k]: the mirrors of a k-cusp's members."""
+    return [*range(base + e0, base - 1, -1), *range(base + k - 1, base + e0, -1)]
 
-    The closure walks one f-cycle a → b → c → a at a time, f = S∘T, with
-    f³ = 1 because (S·T)³ = I (see the module docstring).  Its S-edges are
-    T(a)–b, T(b)–c and T(c)–a.  An edge already known is reused; since S is
-    an involution, a known S(a) = T(c) gives c = T⁻¹(S(a)) and then a known
-    S(c) gives b = T⁻¹(S(c)).  Only a still missing b or c costs a quarter
-    turn, and T(c)–a is never turned: f(c) = a.  A fixed point of f is the
-    cycle a = b = c.  The T-images of the cycle are closed next, so the
-    forward closure is the full group orbit.  The first T asked of a cusp
-    generates it whole (:func:`t_cycle`), recording T and T⁻¹ (the
-    predecessor) of every member.  No canonical key is computed.
+
+def orbit(o: Origami) -> Orbit:
+    """Closure of {o} under T and S, on the positions of its cylinder diagrams.
+
+    Diagrams are numbered as they are found, a whole cusp (:func:`t_cycle`)
+    at a time, so T and T⁻¹ are index arithmetic.  The closure walks one
+    f-cycle a → b → c → a at a time, f = S∘T, with f³ = 1 because
+    (S·T)³ = I (see the module docstring).  Its S-edges are T(a)–b, T(b)–c
+    and T(c)–a.  An edge already known is reused; since S is an involution,
+    a known S(a) = T(c) gives c = T⁻¹(S(a)) and then a known S(c) gives
+    b = T⁻¹(S(c)).  Only a still missing b or c costs a quarter turn, and
+    T(c)–a is never turned: f(c) = a.  A fixed point of f is the cycle
+    a = b = c.  The T-images of the cycle are closed next, so the forward
+    closure is the full group orbit.
+
+    A cusp is numbered together with its mirror: ρ(T^j·d) = T^{−j}(ρd), so
+    one :func:`reflect` per cusp places every mirror, the cusp itself when
+    ρd = T^{e0}·d.  Each quarter turn x → y also records S(ρx) = ρy.  The
+    orbits of H(2) are told apart by n and the count of integer Weierstrass
+    points (Hubert–Lelièvre), both ρ-invariant, so each orbit is; nothing
+    here assumes it: a mirror cusp the closure never reaches raises
+    RuntimeError.  No canonical key is computed.
     """
     start = cylinder_decomposition(o)
     if lattice_index(start) != 1:
         raise ValueError("orbit computation expects a primitive surface")
-    t_next, t_prev, s_next = {}, {}, {}
-    cycles = []
+    position, order, cycles = {}, [], []
+    t_perm, t_inv, s_perm, r_perm = [], [], [], []
+    closed = bytearray()  # positions whose f-cycle is walked
 
-    def cusp_of(diag: CylinderDiagram) -> CylinderDiagram:
-        # T(diag), recording diag's whole cusp
+    def number(diag: CylinderDiagram) -> int:
+        # diag's cusp at the next positions; returns the cusp width
+        base = len(order)
         cycle = t_cycle(diag)
+        k = len(cycle)
         cycles.append(cycle)
-        images = cycle[1:] + cycle[:1]
-        t_next.update(zip(cycle, images))
-        t_prev.update(zip(images, cycle))
-        return images[0]
+        order.extend(cycle)
+        position.update(zip(cycle, range(base, base + k)))
+        t_perm.extend([*range(base + 1, base + k), base])
+        t_inv.extend([base + k - 1, *range(base, base + k - 1)])
+        s_perm.extend([-1] * k)
+        closed.extend(bytes(k))
+        return k
 
-    closed = set()  # members of the f-cycles already walked
-    todo = [start]
+    def find(diag: CylinderDiagram) -> int:
+        # diag's position; on first sight its cusp and the mirror cusp are numbered
+        i = position.get(diag)
+        if i is None:
+            i = len(order)
+            k = number(diag)
+            mirror = reflect(diag)
+            e = position.get(mirror)
+            if e is None and number(mirror) == k:
+                r_perm.extend(_reversed_cusp(i + k, 0, k) + _reversed_cusp(i, 0, k))
+            elif e is not None and i <= e < i + k:
+                r_perm.extend(_reversed_cusp(i, e - i, k))
+            else:
+                raise RuntimeError(f"{mirror} does not start the mirror cusp of {diag}")
+        return i
+
+    def turn(x: int) -> int:
+        # S(x) by a quarter turn, recorded with its mirror S(ρx) = ρS(x)
+        y = find(quarter_turn(order[x]))
+        rx, ry = r_perm[x], r_perm[y]
+        s_perm[x], s_perm[y], s_perm[rx], s_perm[ry] = y, x, ry, rx
+        return y
+
+    todo = [find(start)]
     while todo:
         a = todo.pop()
-        if a in closed:
+        if closed[a]:
             continue
-        ta = t_next.get(a) or cusp_of(a)
-        b = s_next.get(ta)
-        sa = s_next.get(a)
-        c = None if sa is None else t_prev[sa]
-        if b is None:
-            sc = None if c is None else s_next.get(c)
-            b = quarter_turn(ta) if sc is None else t_prev[sc]
-            s_next[ta] = b
-            s_next[b] = ta
-        tb = t_next.get(b) or cusp_of(b)
-        if c is None:
-            c = s_next.get(tb) or quarter_turn(tb)
-        s_next[tb] = c
-        s_next[c] = tb
-        tc = t_next.get(c) or cusp_of(c)
-        s_next[tc] = a
-        s_next[a] = tc
-        closed.update((a, b, c))
+        ta = t_perm[a]
+        b = s_perm[ta]
+        sa = s_perm[a]
+        c = -1 if sa < 0 else t_inv[sa]
+        if b < 0:
+            sc = -1 if c < 0 else s_perm[c]
+            b = turn(ta) if sc < 0 else t_inv[sc]
+            s_perm[ta] = b
+            s_perm[b] = ta
+        tb = t_perm[b]
+        if c < 0:
+            c = turn(tb) if s_perm[tb] < 0 else s_perm[tb]
+        s_perm[tb] = c
+        s_perm[c] = tb
+        tc = t_perm[c]
+        s_perm[tc] = a
+        s_perm[a] = tc
+        closed[a] = closed[b] = closed[c] = 1
         todo += (ta, tb, tc)
-    return Orbit(o.n, t_next, s_next, cycles)
+    if 0 in closed:
+        raise RuntimeError(f"the mirror of the orbit of {start} is another orbit")
+    return Orbit(o.n, position, t_perm, s_perm, cycles)
 
 
 def level(orb: Orbit) -> int:
@@ -442,8 +509,11 @@ def orbit_from_json(text: str) -> Orbit:
                 cycle.append(cur)
             seen.update(cycle)
             cycles.append(cycle)
+    # the cusps take consecutive positions, as in orbit()
+    position = {d: i for i, d in enumerate(d for cycle in cycles for d in cycle)}
     base_key = key_from_text(_field(doc, "base_key", str))
-    orb = Orbit(_field(doc, "n", int), t_next, s_next, cycles, dict(zip(diagrams, surfaces)))
+    orb = Orbit(_field(doc, "n", int), position, [position[t_next[d]] for d in position],
+                [position[s_next[d]] for d in position], cycles, dict(zip(diagrams, surfaces)))
     if orb.surfaces[:1] != (base_key,):
         raise ValueError("base key is not the orbit's canonical representative")
     if len(_key_images(base_key)[0]) != orb.n:

@@ -4,8 +4,9 @@ Each oracle recomputes a quantity by a route disjoint from the production
 code: the canonical key started from every square, the cylinder builders
 square by square, brute force over permutation pairs, spanning-tree holonomy
 with explicit sublattice enumeration, and the hyperelliptic involution found
-by constraint propagation, and the orbit closed with a quarter turn for
-every S-pair.  Slow is fine here; different is the point.
+by constraint propagation, T stepped one shear at a time, and the orbit
+closed with a quarter turn for every S-pair.  Slow is fine here; different
+is the point.
 """
 
 from itertools import permutations
@@ -15,14 +16,18 @@ from struct import pack
 import numpy as np
 
 from origami_h2.origami_core import (
+    CylinderDiagram,
     InvalidSurfaceError,
+    OneCylinder,
     Origami,
+    TwoCylinder,
     canonical_key,
     cylinder_decomposition,
     in_h2,
     is_primitive,
+    least_rotation,
 )
-from origami_h2.sl2_orbit import quarter_turn, shear
+from origami_h2.sl2_orbit import quarter_turn
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +187,7 @@ def brute_force_census(n: int) -> tuple:
     total_pairs = 0
     for parts in _partitions(n):
         r = _type_representative(parts)
-        h2_mask, transitive = pair_masks(r, perms, inverses)
-        mask = h2_mask & transitive
+        mask = h2_transitive_mask(r, perms, inverses)
 
         total_pairs += _class_size(parts) * int(mask.sum())
         for row in perms[mask]:
@@ -207,6 +211,18 @@ def pair_masks(r: tuple, perms: np.ndarray, inverses: np.ndarray) -> tuple:
     all but three squares and its cube is the identity; transitivity by
     min-label propagation along r and u edges, both ways.
     """
+    return _commutator_mask(r, perms, inverses), _transitive_mask(r, perms, inverses)
+
+
+def h2_transitive_mask(r: tuple, perms: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """``h2_mask & transitive`` of :func:`pair_masks`, propagating labels only
+    on the rows whose commutator is one 3-cycle."""
+    mask = _commutator_mask(r, perms, inverses)
+    mask[mask] = _transitive_mask(r, perms[mask], inverses[mask])
+    return mask
+
+
+def _commutator_mask(r: tuple, perms: np.ndarray, inverses: np.ndarray) -> np.ndarray:
     n = perms.shape[1]
     idx = np.arange(n, dtype=np.int8)
     r_arr = np.array(r, dtype=np.int8)
@@ -218,15 +234,20 @@ def pair_masks(r: tuple, perms: np.ndarray, inverses: np.ndarray) -> tuple:
     c = r_arr[step]
     fixed = (c == idx).sum(axis=1)
     ccc = np.take_along_axis(c, np.take_along_axis(c, c, axis=1), axis=1)
-    h2_mask = (fixed == n - 3) & (ccc == idx).all(axis=1)
+    return (fixed == n - 3) & (ccc == idx).all(axis=1)
 
-    labels = np.broadcast_to(idx, perms.shape).copy()
+
+def _transitive_mask(r: tuple, perms: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    n = perms.shape[1]
+    r_arr = np.array(r, dtype=np.int8)
+    rinv_arr = np.argsort(r_arr).astype(np.int8)
+    labels = np.broadcast_to(np.arange(n, dtype=np.int8), perms.shape).copy()
     for _ in range(n):
         labels = np.minimum(labels, labels[:, r_arr])
         labels = np.minimum(labels, labels[:, rinv_arr])
         labels = np.minimum(labels, np.take_along_axis(labels, perms, axis=1))
         labels = np.minimum(labels, np.take_along_axis(labels, inverses, axis=1))
-    return h2_mask, labels.max(axis=1) == 0
+    return labels.max(axis=1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +375,32 @@ def involution_weierstrass_count(o: Origami) -> int:
         if u[r[s]] == r[u[s]] and pi[s] == u[r[s]]:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# T and T⁻¹ one step at a time
+#
+# The library generates each cusp whole in closed form (``t_cycle``) and
+# reads T⁻¹ as a member's predecessor on it.  These step T once on a
+# diagram and T⁻¹ once on a surface.
+
+
+def shear(diag: CylinderDiagram) -> CylinderDiagram:
+    """T on a normalised cylinder diagram: each twist moves by its height.
+
+    Equal to ``cylinder_decomposition(apply_T(build_from_diagram(diag)))``;
+    the sign of the one-cylinder step follows the builders' conventions.
+    """
+    if isinstance(diag, TwoCylinder):
+        h1, h2, w1, w2, t1, t2 = diag
+        return TwoCylinder(h1, h2, w1, w2, (t1 + h1) % w1, (t2 + h2) % w2)
+    l1, l2, l3, t, h = diag
+    return least_rotation(OneCylinder(l1, l2, l3, (t - h) % (l1 + l2 + l3), h))
+
+
+def apply_T_inverse(o: Origami) -> Origami:
+    """T⁻¹ on a surface: (right, up) ↦ (right, up∘right)."""
+    return Origami(o.right, tuple(o.up[j] for j in o.right), check=False)
 
 
 # ---------------------------------------------------------------------------

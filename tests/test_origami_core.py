@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _partitions,
+    _type_representative,
     all_permutations,
     all_starts_key,
+    h2_transitive_mask,
     involution_weierstrass_count,
     pair_masks,
     reference_one_cylinder,
@@ -281,6 +284,19 @@ class TestDecompositionOracles:
                 assert got == h2_mask[transitive].tolist(), r
                 pairs += len(got)
         assert pairs == 425160
+
+    def test_census_mask_propagates_only_h2_rows(self):
+        # brute_force_census tests transitivity only on the rows that pass
+        # the commutator test; every class with n <= 7 gets the same mask
+        classes = 0
+        for n in range(1, 8):
+            perms, inverses = all_permutations(n)
+            for parts in _partitions(n):
+                r = _type_representative(parts)
+                h2_mask, transitive = pair_masks(r, perms, inverses)
+                assert (h2_transitive_mask(r, perms, inverses) == (h2_mask & transitive)).all(), r
+                classes += 1
+        assert classes == 1 + 2 + 3 + 5 + 7 + 11 + 15
 
 
 class TestCanonicalKey:

@@ -11,6 +11,7 @@ from origami_h2.cli import seed_surface
 from origami_h2.enumeration import enumerate_diagrams
 from origami_h2.origami_core import (
     OneCylinder,
+    Origami,
     TwoCylinder,
     build_from_diagram,
     build_l_shape,
@@ -35,20 +36,20 @@ from origami_h2.sl2_orbit import (
     apply_S,
     apply_S_inverse,
     apply_T,
-    apply_T_inverse,
     level,
     membership,
     orbit,
     orbit_from_json,
     orbit_to_json,
     quarter_turn,
-    shear,
+    reflect,
     t_cycle,
     t_power,
     u_orbit_width,
     v_power,
 )
-from oracles import all_turns_orbit
+import oracles
+from oracles import all_turns_orbit, apply_T_inverse, shear
 from test_origami_core import all_one_cylinder_tuples, all_two_cylinder_tuples
 
 
@@ -181,6 +182,27 @@ class TestDiagramAction:
         for diag in self.normalised(16):
             assert t_cycle(diag)[0] == diag
             assert shear(t_cycle(diag)[-1]) == diag == t_cycle(shear(diag))[-1], diag
+
+    def test_reflect_is_the_decomposed_mirror(self):
+        # ρ = diag(1, −1) on surfaces: (right, up) ↦ (right, up⁻¹)
+        diags = self.diagrams(16)
+        assert len(diags) == 10_859
+        for diag in diags:
+            o = build_from_diagram(diag)
+            mirror = Origami(o.right, origami_core._inverse(o.up), check=False)
+            assert reflect(diag) == cylinder_decomposition(mirror), diag
+
+    def test_reflect_commutes_with_the_quarter_turn(self):
+        # ρSρ = −S acts as S: orbit() records S(ρx) = ρy for each turn x → y
+        for diag in self.normalised(16):
+            assert reflect(reflect(diag)) == diag, diag
+            assert quarter_turn(reflect(diag)) == reflect(quarter_turn(diag)), diag
+
+    def test_reflect_reverses_the_cusp(self):
+        # ρTρ = T⁻¹: the cusp of ρd is ρ of d's cusp in reverse T-order
+        for diag in self.normalised(16):
+            cycle = t_cycle(diag)
+            assert t_cycle(reflect(diag)) == [reflect(d) for d in cycle[:1] + cycle[:0:-1]], diag
 
     def test_quarter_turn_is_an_involution(self):
         # orbit() records every S-edge both ways and reads S(a) = T(c) back
@@ -417,8 +439,35 @@ class TestOrbitAgainstAllTurns:
             orb = orbit(o)
             assert (orb.t_next, orb.s_next) == all_turns_orbit(o), diag
 
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_mirror_in_the_twin_orbit_raises(self, monkeypatch, named_orbit, n):
+        # a reflect that leaves the A-orbit for its B twin, onto a twin cusp
+        # of the same width while one is left: orbit() must raise, not
+        # return the twin's diagrams as part of the orbit
+        twin = named_orbit("B", n)
+        free = {}
+        for cycle in twin.cycles:
+            free.setdefault(len(cycle), []).append(cycle[0])
+
+        def into_twin(diag):
+            return (free.get(len(t_cycle(diag))) or [twin.cycles[0][0]]).pop()
+
+        monkeypatch.setattr(sl2_orbit, "reflect", into_twin)
+        with pytest.raises(RuntimeError):
+            orbit(seed_surface("A", n))
+
+    def test_unreached_mirror_cusp_raises(self, monkeypatch, named_orbit):
+        # A3's two cusps (widths 1 and 2) sent onto B9's cusps of those widths:
+        # every mirror cusp is numbered but the closure never reaches it
+        twin = {len(cycle): cycle[0] for cycle in named_orbit("B", 9).cycles}
+        assert sorted(named_orbit("A", 3).cusp_widths) == [1, 2]
+        monkeypatch.setattr(sl2_orbit, "reflect", lambda diag: twin[len(t_cycle(diag))])
+        with pytest.raises(RuntimeError, match="is another orbit"):
+            orbit(seed_surface("A", 3))
+
     def test_quarter_turn_budget(self, monkeypatch):
-        # the all-turns closure makes index / 2; inference leaves about a fifth
+        # the all-turns closure makes index / 2; inference leaves about a
+        # fifth and the mirrored S-edges about an eighth
         calls = []
         real = sl2_orbit.quarter_turn
 
@@ -432,18 +481,23 @@ class TestOrbitAgainstAllTurns:
         assert 0 < len(calls) <= orb.index // 4
 
     def test_cusp_budget(self, monkeypatch):
-        # T comes from whole cusps, each generated once; no diagram is sheared
-        calls = {name: [] for name in ("shear", "t_cycle", "quarter_turn")}
-        for name, seen in calls.items():
-            def counting(diag, real=getattr(sl2_orbit, name), seen=seen):
+        # T comes from whole cusps, each generated once; no diagram is sheared.
+        # One reflect per first-seen cusp numbers its mirror too, and the
+        # mirrored S-edges leave 543 quarter turns (843 before the mirror).
+        calls = {name: [] for name in ("shear", "t_cycle", "quarter_turn", "reflect")}
+        for module, name in ((oracles, "shear"), (sl2_orbit, "t_cycle"),
+                             (sl2_orbit, "quarter_turn"), (sl2_orbit, "reflect")):
+            def counting(diag, real=getattr(module, name), seen=calls[name]):
                 seen.append(diag)
                 return real(diag)
 
-            monkeypatch.setattr(sl2_orbit, name, counting)
+            monkeypatch.setattr(module, name, counting)
         orb = orbit(seed_surface("B", 29))
         assert len(calls["shear"]) == 0
         assert len(calls["t_cycle"]) == len(orb.cycles) == 199
-        assert len(calls["quarter_turn"]) == 843
+        self_mirror = sum(reflect(cycle[0]) in cycle for cycle in orb.cycles)
+        assert 2 * len(calls["reflect"]) == len(orb.cycles) + self_mirror
+        assert len(calls["quarter_turn"]) == 543
 
 
 class TestOrbitJson:
