@@ -13,6 +13,8 @@ from .congruence import (
     coprime_part,
     expected_index,
     factorize,
+    formula_split,
+    formula_total,
     index_obstruction_check,
     lcm_upto,
     noncongruence_search,
@@ -28,8 +30,6 @@ from .enumeration import (
     count_primitive,
     enumerate_diagrams,
     enumerate_primitive,
-    formula_split,
-    formula_total,
     total_count_with_imprimitive,
     verify_counts,
 )
@@ -42,10 +42,8 @@ from .origami_core import (
     build_l_shape,
     build_one_cylinder,
     build_two_cylinder,
-    canonical_form,
     canonical_key,
     cylinder_decomposition,
-    format_diagram,
     in_h2,
     integer_weierstrass_count,
     is_primitive,

@@ -21,6 +21,7 @@ import sys
 from typing import Optional
 
 from .congruence import (
+    check_orbit_label,
     expected_index,
     factorize,
     index_obstruction_check,
@@ -63,19 +64,8 @@ MAX_COUNTS_N = 100
 
 def seed_surface(label: str, n: int) -> Origami:
     """The L-shaped seed whose orbit is the named one (A/B odd, C even)."""
-    if label == "A":
-        if n < 3 or n % 2 == 0:
-            raise ValueError("A_n needs odd n >= 3")
-        return build_l_shape(2, n - 1)
-    if label == "B":
-        if n < 5 or n % 2 == 0:
-            raise ValueError("B_n needs odd n >= 5")
-        return build_l_shape(3, n - 2)
-    if label == "C":
-        if n < 4 or n % 2 == 1:
-            raise ValueError("C_n needs even n >= 4")
-        return build_l_shape(2, n - 1)
-    raise ValueError(f"unknown orbit label {label!r}")
+    check_orbit_label(label, n)
+    return build_l_shape(3, n - 2) if label == "B" else build_l_shape(2, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -153,32 +153,48 @@ def stratum_product(n: int) -> int:
     return out
 
 
-def expected_index(orbit_label: str, n: int) -> int:
-    """Stabiliser index predicted for the orbit through n-square surfaces.
+def formula_total(n: int) -> int:
+    """3(n−2)·P(n)/8: the primitive count predicted for H(2)."""
+    num = 3 * (n - 2) * stratum_product(n)
+    if num % 8:
+        raise ArithmeticError(f"total formula not integral at n={n}")
+    return num // 8
+
+
+def formula_split(n: int) -> tuple:
+    """(a_n, b_n) = (3(n−1)·P(n)/16, 3(n−3)·P(n)/16) for odd n ≥ 5."""
+    if n % 2 == 0 or n < 5:
+        raise ValueError("the split is defined for odd n >= 5")
+    p = stratum_product(n)
+    a, b = 3 * (n - 1) * p, 3 * (n - 3) * p
+    if a % 16 or b % 16:
+        raise ArithmeticError(f"split formula not integral at n={n}")
+    return a // 16, b // 16
+
+
+def check_orbit_label(label: str, n: int) -> None:
+    """Raise ValueError unless (label, n) names an orbit of H(2).
 
     A and B are the two odd-n orbits (one and three integer Weierstrass
     points), C the single even-n orbit; A also covers the lone n = 3 orbit.
     """
-    if orbit_label == "A":
-        if n != 3 and (n < 5 or n % 2 == 0):
-            raise ValueError("label A needs odd n >= 5, or n = 3")
-        num = 3 * (n - 1) * stratum_product(n)
-        den = 16
-    elif orbit_label == "B":
-        if n < 5 or n % 2 == 0:
-            raise ValueError("label B needs odd n >= 5")
-        num = 3 * (n - 3) * stratum_product(n)
-        den = 16
-    elif orbit_label == "C":
-        if n < 4 or n % 2:
-            raise ValueError("label C needs even n >= 4")
-        num = 3 * (n - 2) * stratum_product(n)
-        den = 8
-    else:
-        raise ValueError(f"unknown orbit label {orbit_label!r}")
-    if num % den:
-        raise ArithmeticError(f"index formula is not integral at ({orbit_label}, {n})")
-    return num // den
+    least = {"A": 3, "B": 5, "C": 4}.get(label)
+    if least is None:
+        raise ValueError(f"unknown orbit label {label!r}")
+    if n < least or n % 2 == (label == "C"):
+        raise ValueError(f"{label}_n needs {'even' if label == 'C' else 'odd'} n >= {least}")
+
+
+def expected_index(orbit_label: str, n: int) -> int:
+    """Stabiliser index predicted for the named orbit through n-square surfaces.
+
+    C and A₃ are the whole census at their n; otherwise A and B split it.
+    """
+    check_orbit_label(orbit_label, n)
+    if orbit_label == "C" or n == 3:
+        return formula_total(n)
+    a, b = formula_split(n)
+    return b if orbit_label == "B" else a
 
 
 class ArithmeticWitness(NamedTuple):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Optional
 
-from .congruence import divisor_sigma, divisors, euler_phi, moebius, stratum_product
+from .congruence import divisor_sigma, divisors, euler_phi, formula_split, formula_total, moebius
 from .origami_core import (
     CylinderDiagram,
     OneCylinder,
@@ -70,25 +70,6 @@ class CountReport(NamedTuple):
             and self.a_count == self.a_formula
             and self.b_count == self.b_formula
         )
-
-
-def formula_total(n: int) -> int:
-    """3(n−2)·P(n)/8: the primitive count predicted for H(2)."""
-    num = 3 * (n - 2) * stratum_product(n)
-    if num % 8:
-        raise ArithmeticError(f"total formula not integral at n={n}")
-    return num // 8
-
-
-def formula_split(n: int) -> tuple:
-    """(a_n, b_n) = (3(n−1)·P(n)/16, 3(n−3)·P(n)/16) for odd n ≥ 5."""
-    if n % 2 == 0 or n < 5:
-        raise ValueError("the split is defined for odd n >= 5")
-    p = stratum_product(n)
-    a, b = 3 * (n - 1) * p, 3 * (n - 3) * p
-    if a % 16 or b % 16:
-        raise ArithmeticError(f"split formula not integral at n={n}")
-    return a // 16, b // 16
 
 
 def _two_cylinder_shapes(n: int) -> Iterator[tuple]:

@@ -153,13 +153,6 @@ def _is_transitive(right, up) -> bool:
     return count == n
 
 
-def commutator(o: Origami) -> tuple:
-    """The permutation right∘up∘right⁻¹∘up⁻¹ (functions composed right to left)."""
-    r, u = o.right, o.up
-    rinv, uinv = _inverse(r), _inverse(u)
-    return tuple(r[u[rinv[uinv[x]]]] for x in range(o.n))
-
-
 def _corners(r, u) -> list:
     """The squares y whose top-right vertex does not close up: u(r(y)) ≠ r(u(y)).
 
@@ -177,18 +170,6 @@ def in_h2(o: Origami) -> bool:
     return len(_corners(o.right, o.up)) == 3
 
 
-def relabel(o: Origami, g) -> Origami:
-    """Conjugate both permutations by g (simultaneous square relabelling)."""
-    g = tuple(g)
-    _check_perm(g, o.n, "g")
-    r2 = [0] * o.n
-    u2 = [0] * o.n
-    for i in range(o.n):
-        r2[g[i]] = g[o.right[i]]
-        u2[g[i]] = g[o.up[i]]
-    return Origami(r2, u2, check=False)
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -197,13 +178,9 @@ def build_two_cylinder(h1: int, h2: int, w1: int, w2: int, t1: int, t2: int) -> 
     """Origami with the two-cylinder diagram (h1, h2, w1, w2, t1, t2).
 
     Twists may be arbitrary integers; they are reduced modulo the widths.
-    Raises ValueError unless all dimensions are positive and w1 < w2.
+    Raises InvalidSurfaceError unless :func:`_checked` accepts the diagram.
     """
-    if min(h1, h2, w1, w2) < 1:
-        raise InvalidSurfaceError("cylinder heights and widths must be positive")
-    if w1 >= w2:
-        raise InvalidSurfaceError(f"need w1 < w2, got w1={w1}, w2={w2}")
-    return _built(TwoCylinder(h1, h2, w1, w2, t1, t2))
+    return _built(_checked(TwoCylinder(h1, h2, w1, w2, t1, t2)))
 
 
 def build_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Origami:
@@ -212,11 +189,19 @@ def build_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Ori
     The top boundary splits into arcs of lengths (l1, l2, l3); the bottom is
     the reversed sequence (l3, l2, l1), and the twist t rotates the gluing.
     """
-    if min(l1, l2, l3) < 1:
-        raise InvalidSurfaceError("saddle connection lengths must be positive")
-    if h < 1:
-        raise InvalidSurfaceError("height must be positive")
-    return _built(OneCylinder(l1, l2, l3, t, h))
+    return _built(_checked(OneCylinder(l1, l2, l3, t, h)))
+
+
+def _checked(diag: CylinderDiagram) -> CylinderDiagram:
+    """``diag``, if its lengths and heights are positive and, for two cylinders, w1 < w2."""
+    if isinstance(diag, OneCylinder):
+        if min(diag.l1, diag.l2, diag.l3, diag.h) < 1:
+            raise InvalidSurfaceError("one-cylinder lengths and height must be positive")
+    elif min(diag[:4]) < 1:
+        raise InvalidSurfaceError("cylinder dimensions must be positive")
+    elif diag.w1 >= diag.w2:
+        raise InvalidSurfaceError(f"need w1 < w2, got w1={diag.w1}, w2={diag.w2}")
+    return diag
 
 
 def _built(diag: CylinderDiagram) -> Origami:
@@ -261,9 +246,7 @@ def _layout(diag: CylinderDiagram) -> tuple:
 
 
 def build_l_shape(a: int, b: int) -> Origami:
-    """The L-shaped surface on a+b-1 squares: an (a-1)x1 column over a 1xb row."""
-    if a < 2 or b < 2:
-        raise InvalidSurfaceError("L(a, b) needs a, b >= 2")
+    """The L-shaped surface on a+b-1 squares: an (a-1)x1 column over a 1xb row (a, b >= 2)."""
     return build_two_cylinder(a - 1, 1, 1, b, 0, 0)
 
 
@@ -464,11 +447,6 @@ def _key(r, u, corners) -> bytes:
     return pack(">H", n) + body
 
 
-def canonical_form(o: Origami) -> Origami:
-    """The canonically relabelled representative of ``o``."""
-    return origami_from_key(canonical_key(o))
-
-
 def _key_images(key: bytes) -> tuple:
     """The (right, up) images stored in a canonical key, unvalidated."""
     if len(key) < 2:
@@ -598,12 +576,6 @@ def _cycles_str(p) -> str:
     return "".join(parts)
 
 
-def format_diagram(diag: CylinderDiagram) -> str:
-    if isinstance(diag, OneCylinder):
-        return f"1cyl({diag.l1},{diag.l2},{diag.l3};{diag.t};{diag.h})"
-    return f"2cyl({diag.h1},{diag.h2},{diag.w1},{diag.w2},{diag.t1},{diag.t2})"
-
-
 _ONE_CYL_RE = re.compile(
     r"^1cyl\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*(-?\d+)\s*;\s*(-?\d+)\s*\)$"
 )
@@ -616,24 +588,17 @@ def parse_diagram(text: str) -> CylinderDiagram:
     text = text.strip()
     m = _ONE_CYL_RE.match(text)
     if m:
-        l1, l2, l3, t, h = map(int, m.groups())
-        if min(l1, l2, l3) < 1 or h < 1:
-            raise InvalidSurfaceError("one-cylinder lengths and height must be positive")
+        l1, l2, l3, t, h = _checked(OneCylinder(*map(int, m.groups())))
         return OneCylinder(l1, l2, l3, t % (l1 + l2 + l3), h)
     m = _TWO_CYL_RE.match(text)
     if m:
-        h1, h2, w1, w2, t1, t2 = map(int, m.groups())
-        if min(h1, h2, w1, w2) < 1:
-            raise InvalidSurfaceError("cylinder dimensions must be positive")
-        if w1 >= w2:
-            raise InvalidSurfaceError("need w1 < w2")
+        h1, h2, w1, w2, t1, t2 = _checked(TwoCylinder(*map(int, m.groups())))
         return TwoCylinder(h1, h2, w1, w2, t1 % w1, t2 % w2)
     m = _L_RE.match(text)
     if m:
         a, b = map(int, m.groups())
-        if a < 2 or b < 2:
-            raise InvalidSurfaceError("L(a, b) needs a, b >= 2")
-        return TwoCylinder(a - 1, 1, 1, b, 0, 0)
+        # a < 2 or b < 2 fails positivity or w1 < w2
+        return _checked(TwoCylinder(a - 1, 1, 1, b, 0, 0))
     raise ValueError(f"cannot parse surface description {text!r}")
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from math import gcd, lcm
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .origami_core import (
     CylinderDiagram,
@@ -68,10 +68,6 @@ class MatrixZ(NamedTuple):
     b: int
     c: int
     d: int
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "MatrixZ") -> "MatrixZ":
         return MatrixZ(
@@ -252,20 +248,18 @@ class Orbit:
     and under S.  ``cycles`` lists the cusps in T-order, and they take
     consecutive positions in that order, so ``widths`` (the cusp width at
     each position) is read off them.  ``diagrams`` are the keys of
-    ``position``, and the dict views ``t_next``, ``s_next`` and ``width_of``
-    are built on first use.  Canonical keys are made only on demand, unless
-    ``keys`` passes them in: :meth:`key` of one diagram, and ``surfaces``
-    and ``base_key``, which key the whole orbit on first use.
+    ``position``.  Canonical keys are made only on demand: :meth:`key` of
+    one diagram, and ``surfaces`` and ``base_key``, which key the whole
+    orbit on first use.
     """
 
-    def __init__(self, n: int, position: dict, t_perm: list, s_perm: list, cycles: list,
-                 keys: Optional[dict] = None):
+    def __init__(self, n: int, position: dict, t_perm: list, s_perm: list, cycles: list):
         self.n = n
         self.position = position
         self.t_perm = t_perm
         self.s_perm = s_perm
         self.cycles = cycles
-        self._keys = dict(keys or {})  # diagram -> canonical key, filled by key()
+        self._keys = {}  # diagram -> canonical key, filled by key()
 
     @property
     def index(self) -> int:
@@ -286,18 +280,6 @@ class Orbit:
     def widths(self) -> list:
         """The width of each position's cusp."""
         return [len(cycle) for cycle in self.cycles for _ in cycle]
-
-    @cached_property
-    def t_next(self) -> dict:
-        return dict(zip(self.position, map(list(self.position).__getitem__, self.t_perm)))
-
-    @cached_property
-    def s_next(self) -> dict:
-        return dict(zip(self.position, map(list(self.position).__getitem__, self.s_perm)))
-
-    @cached_property
-    def width_of(self) -> dict:
-        return dict(zip(self.position, self.widths))
 
     def key(self, diag: CylinderDiagram) -> bytes:
         """The canonical key of the orbit's surface ``diag``."""
@@ -341,8 +323,9 @@ def orbit(o: Origami) -> Orbit:
     ρd = T^{e0}·d.  Each quarter turn x → y also records S(ρx) = ρy.  The
     orbits of H(2) are told apart by n and the count of integer Weierstrass
     points (Hubert–Lelièvre), both ρ-invariant, so each orbit is; nothing
-    here assumes it: a mirror cusp the closure never reaches raises
-    RuntimeError.  No canonical key is computed.
+    here assumes it: a mirror cusp the closure never reaches, or mirrors
+    that do not commute with S, raise RuntimeError.  No canonical key is
+    computed.
     """
     start = cylinder_decomposition(o)
     if lattice_index(start) != 1:
@@ -414,6 +397,8 @@ def orbit(o: Origami) -> Orbit:
         todo += (ta, tb, tc)
     if 0 in closed:
         raise RuntimeError(f"the mirror of the orbit of {start} is another orbit")
+    if list(map(s_perm.__getitem__, r_perm)) != list(map(r_perm.__getitem__, s_perm)):
+        raise RuntimeError(f"the mirror does not commute with S on the orbit of {start}")
     return Orbit(o.n, position, t_perm, s_perm, cycles)
 
 
@@ -433,17 +418,18 @@ def orbit_to_json(orb: Orbit) -> str:
     ``surfaces`` lists each surface's canonical text once, in key order;
     ``t_edges``, ``s_edges`` and each cusp's ``rep`` are positions in it.
     """
-    order = sorted(orb.diagrams, key=orb.key)
-    position = {d: i for i, d in enumerate(order)}
-    rep_position = {orb.key(d): i for i, d in enumerate(order)}
+    keys = list(map(orb.key, orb.diagrams))
+    order = sorted(range(orb.index), key=keys.__getitem__)
+    rank_of = {keys[p]: i for i, p in enumerate(order)}  # key -> place in key order
+    rank = list(map(rank_of.__getitem__, keys))  # position -> place in key order
     doc = {
         "schema_version": ORBIT_SCHEMA_VERSION,
         "n": orb.n,
         "base_key": key_to_text(orb.base_key),
-        "surfaces": [key_to_text(orb.key(d)) for d in order],
-        "t_edges": [position[orb.t_next[d]] for d in order],
-        "s_edges": [position[orb.s_next[d]] for d in order],
-        "cusps": [{"rep": rep_position[k], "width": w} for k, w in _cusps(orb)],
+        "surfaces": [key_to_text(keys[p]) for p in order],
+        "t_edges": [rank[orb.t_perm[p]] for p in order],
+        "s_edges": [rank[orb.s_perm[p]] for p in order],
+        "cusps": [{"rep": rank_of[k], "width": w} for k, w in _cusps(orb)],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -513,7 +499,7 @@ def orbit_from_json(text: str) -> Orbit:
     position = {d: i for i, d in enumerate(d for cycle in cycles for d in cycle)}
     base_key = key_from_text(_field(doc, "base_key", str))
     orb = Orbit(_field(doc, "n", int), position, [position[t_next[d]] for d in position],
-                [position[s_next[d]] for d in position], cycles, dict(zip(diagrams, surfaces)))
+                [position[s_next[d]] for d in position], cycles)
     if orb.surfaces[:1] != (base_key,):
         raise ValueError("base key is not the orbit's canonical representative")
     if len(_key_images(base_key)[0]) != orb.n:

@@ -6,7 +6,9 @@ square by square, brute force over permutation pairs, spanning-tree holonomy
 with explicit sublattice enumeration, and the hyperelliptic involution found
 by constraint propagation, T stepped one shear at a time, and the orbit
 closed with a quarter turn for every S-pair.  Slow is fine here; different
-is the point.
+is the point.  The helpers at the end have no caller in the library: square
+relabelling, the commutator, the canonical representative and the text that
+``parse_diagram`` reads back.
 """
 
 from itertools import permutations
@@ -26,6 +28,7 @@ from origami_h2.origami_core import (
     in_h2,
     is_primitive,
     least_rotation,
+    origami_from_key,
 )
 from origami_h2.sl2_orbit import quarter_turn
 
@@ -432,3 +435,42 @@ def all_turns_orbit(o: Origami) -> tuple:
                 seen.add(image)
                 todo.append(image)
     return t_next, s_next
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+
+def relabel(o: Origami, g) -> Origami:
+    """Conjugate both permutations by g (simultaneous square relabelling)."""
+    g = tuple(g)
+    if sorted(g) != list(range(o.n)):
+        raise ValueError(f"g is not a permutation of 0..{o.n - 1}: {g!r}")
+    r2 = [0] * o.n
+    u2 = [0] * o.n
+    for i in range(o.n):
+        r2[g[i]] = g[o.right[i]]
+        u2[g[i]] = g[o.up[i]]
+    return Origami(r2, u2, check=False)
+
+
+def commutator(o: Origami) -> tuple:
+    """The permutation right∘up∘right⁻¹∘up⁻¹ (functions composed right to left)."""
+    r, u = o.right, o.up
+    rinv, uinv = [0] * o.n, [0] * o.n
+    for x in range(o.n):
+        rinv[r[x]] = x
+        uinv[u[x]] = x
+    return tuple(r[u[rinv[uinv[x]]]] for x in range(o.n))
+
+
+def canonical_form(o: Origami) -> Origami:
+    """The canonically relabelled representative of ``o``."""
+    return origami_from_key(canonical_key(o))
+
+
+def format_diagram(diag: CylinderDiagram) -> str:
+    """The ``parse_diagram`` text of a normalised diagram."""
+    if isinstance(diag, OneCylinder):
+        return f"1cyl({diag.l1},{diag.l2},{diag.l3};{diag.t};{diag.h})"
+    return f"2cyl({diag.h1},{diag.h2},{diag.w1},{diag.w2},{diag.t1},{diag.t2})"

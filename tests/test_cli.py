@@ -111,6 +111,11 @@ class TestOrbit:
         )
         assert rc == 3
         assert out == "" and "unsupported surface" in err
+        # a zero length or height describes no surface at all
+        for surface in ("1cyl(0,1,2;0;1)", "2cyl(0,1,1,2,0,0)"):
+            rc, out, err = run(capsys, "orbit", surface)
+            assert rc == 3
+            assert out == "" and "must be positive" in err
 
     def test_rejects_imprimitive(self, capsys, tmp_path):
         rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "orbit", "1cyl(2,2,2;0;1)")
@@ -171,6 +176,10 @@ class TestNoncong:
         rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "noncong", "C", "3")
         assert rc == 2
         assert "C_n needs even n >= 4" in err
+        for label, n, message in (("A", "4", "A_n needs odd n >= 3"), ("B", "3", "B_n needs odd n >= 5")):
+            rc, out, err = run(capsys, "noncong", label, n)
+            assert rc == 2
+            assert out == "" and message in err
 
     def test_respects_orbit_bound(self, capsys, tmp_path):
         rc, _, err = run(
@@ -316,7 +325,7 @@ class TestKeysComputed:
 
     def test_noncong_keys_only_the_certified_carriers(self, capsys, monkeypatch, named_orbit):
         orb = named_orbit("B", 29)
-        pair_at = {orb.key(d): (orb.width_of[d], orb.width_of[orb.s_next[d]]) for d in orb.diagrams}
+        pair_at = {orb.key(d): (orb.widths[i], orb.widths[orb.s_perm[i]]) for i, d in enumerate(orb.diagrams)}
         calls = self.count_keys(monkeypatch)
         rc, out, _ = run(capsys, "--max-orbit-n", "29", "noncong", "B", "29")
         assert rc == 0

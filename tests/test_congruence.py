@@ -224,11 +224,14 @@ class TestCertificates:
         # obstruction re-derived from divisor lists and N^3 prod(1 - 1/p^2)
         orb = named_orbit(label, n)
         d = orb.index
-        width = orb.width_of
-        ell = lcm(*width.values())
+        width = [0] * d
+        for cycle in orb.cycles:
+            for diag in cycle:
+                width[orb.position[diag]] = len(cycle)
+        ell = lcm(*width)
         carriers = {}
-        for diag in orb.diagrams:
-            carriers.setdefault((width[diag], width[orb.s_next[diag]]), []).append(orb.key(diag))
+        for i, diag in enumerate(orb.diagrams):
+            carriers.setdefault((width[i], width[orb.s_perm[i]]), []).append(orb.key(diag))
         want = None
         for k, k_prime in sorted(carriers):
             m = max(q for q in _divisors(ell) if gcd(q, k * k_prime) == 1)

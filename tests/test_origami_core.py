@@ -10,11 +10,15 @@ from oracles import (
     _type_representative,
     all_permutations,
     all_starts_key,
+    canonical_form,
+    commutator,
+    format_diagram,
     h2_transitive_mask,
     involution_weierstrass_count,
     pair_masks,
     reference_one_cylinder,
     reference_two_cylinder,
+    relabel,
     sublattice_index,
 )
 from origami_h2 import origami_core
@@ -29,11 +33,8 @@ from origami_h2.origami_core import (
     build_l_shape,
     build_one_cylinder,
     build_two_cylinder,
-    canonical_form,
     canonical_key,
-    commutator,
     cylinder_decomposition,
-    format_diagram,
     in_h2,
     integer_weierstrass_count,
     is_primitive,
@@ -42,7 +43,6 @@ from origami_h2.origami_core import (
     lattice_index,
     origami_from_key,
     parse_diagram,
-    relabel,
 )
 
 

@@ -23,7 +23,6 @@ from origami_h2.origami_core import (
     is_primitive,
     origami_from_key,
     key_to_text,
-    relabel,
 )
 from origami_h2.sl2_orbit import (
     IDENTITY,
@@ -49,7 +48,7 @@ from origami_h2.sl2_orbit import (
     v_power,
 )
 import oracles
-from oracles import all_turns_orbit, apply_T_inverse, shear
+from oracles import all_turns_orbit, apply_T_inverse, relabel, shear
 from test_origami_core import all_one_cylinder_tuples, all_two_cylinder_tuples
 
 
@@ -389,25 +388,26 @@ class TestOrbits:
     @pytest.mark.parametrize("label,n", named_seeds(9))
     def test_orbit_closed_under_generators(self, named_orbit, label, n):
         orb = named_orbit(label, n)
-        for d in orb.diagrams:
+        at = list(orb.diagrams)
+        for i, d in enumerate(at):
             o = build_from_diagram(d)
-            assert o.n == orb.n and cylinder_decomposition(o) == d
-            assert canonical_key(apply_T(o)) == orb.key(orb.t_next[d])
-            assert canonical_key(apply_S(o)) == orb.key(orb.s_next[d])
+            assert o.n == orb.n and cylinder_decomposition(o) == d and orb.position[d] == i
+            assert canonical_key(apply_T(o)) == orb.key(at[orb.t_perm[i]])
+            assert canonical_key(apply_S(o)) == orb.key(at[orb.s_perm[i]])
         # the diagrams are distinct surfaces and both edge maps are bijections of them
         assert len({orb.key(d) for d in orb.diagrams}) == orb.index
-        for edges in (orb.t_next, orb.s_next):
-            assert set(edges) == set(orb.diagrams)
-            assert set(edges.values()) == set(orb.diagrams)
+        for perm in (orb.t_perm, orb.s_perm):
+            assert sorted(perm) == list(range(orb.index))
         # each cycle's first diagram returns after exactly its width of T-steps
         for cycle in orb.cycles:
-            cur = orb.t_next[cycle[0]]
+            first = orb.position[cycle[0]]
+            cur = orb.t_perm[first]
             steps = 1
-            while cur != cycle[0]:
-                cur = orb.t_next[cur]
+            while cur != first:
+                cur = orb.t_perm[cur]
                 steps += 1
             assert steps == len(cycle)
-            assert all(orb.width_of[d] == steps for d in cycle)
+            assert all(orb.widths[orb.position[d]] == steps for d in cycle)
         assert sum(len(cycle) for cycle in orb.cycles) == orb.index
         assert origami_from_key(orb.base_key).n == orb.n
 
@@ -420,15 +420,22 @@ class TestOrbits:
         assert orb.base_key == min(orb.surfaces)
 
 
+def all_turns_perms(orb, o) -> tuple:
+    """``all_turns_orbit(o)`` as (t_perm, s_perm) over the positions of ``orb``."""
+    t_next, s_next = all_turns_orbit(o)
+    assert t_next.keys() == s_next.keys() == orb.position.keys()
+    return [orb.position[t_next[d]] for d in orb.diagrams], [orb.position[s_next[d]] for d in orb.diagrams]
+
+
 class TestOrbitAgainstAllTurns:
     """orbit() infers S-edges; the reference turns every S-pair it meets."""
 
     @pytest.mark.parametrize("label,n", named_seeds(21))
     def test_named_orbit(self, named_orbit, label, n):
         orb = named_orbit(label, n)
-        t_next, s_next = all_turns_orbit(seed_surface(label, n))
-        assert orb.t_next == t_next
-        assert orb.s_next == s_next
+        t_perm, s_perm = all_turns_perms(orb, seed_surface(label, n))
+        assert orb.t_perm == t_perm
+        assert orb.s_perm == s_perm
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_every_census_start(self, n):
@@ -437,7 +444,7 @@ class TestOrbitAgainstAllTurns:
         for diag in starts:
             o = build_from_diagram(diag)
             orb = orbit(o)
-            assert (orb.t_next, orb.s_next) == all_turns_orbit(o), diag
+            assert (orb.t_perm, orb.s_perm) == all_turns_perms(orb, o), diag
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
     def test_mirror_in_the_twin_orbit_raises(self, monkeypatch, named_orbit, n):
@@ -464,6 +471,25 @@ class TestOrbitAgainstAllTurns:
         monkeypatch.setattr(sl2_orbit, "reflect", lambda diag: twin[len(t_cycle(diag))])
         with pytest.raises(RuntimeError, match="is another orbit"):
             orbit(seed_surface("A", 3))
+
+    def test_mirror_that_does_not_commute_with_s_raises(self, monkeypatch, named_orbit):
+        # A11's cusps of widths 3 and 7 sent onto B11's first cusp of that
+        # width, reflect right elsewhere: both mirror guards pass, and
+        # without the check that rho commutes with S the closure returns
+        # 303 diagrams where the orbit has 225
+        members = set(named_orbit("A", 11).diagrams)
+        twin = {}
+        for cycle in named_orbit("B", 11).cycles:
+            twin.setdefault(len(cycle), cycle[0])
+        real = sl2_orbit.reflect
+
+        def wrong(diag):
+            k = len(t_cycle(diag))
+            return twin[k] if diag in members and k in (3, 7) else real(diag)
+
+        monkeypatch.setattr(sl2_orbit, "reflect", wrong)
+        with pytest.raises(RuntimeError, match="does not commute with S"):
+            orbit(seed_surface("A", 11))
 
     def test_quarter_turn_budget(self, monkeypatch):
         # the all-turns closure makes index / 2; inference leaves about a
@@ -505,9 +531,15 @@ class TestOrbitJson:
         orb = named_orbit("B", 5)
         text = orbit_to_json(orb)
         back = orbit_from_json(text)
-        assert (back.t_next, back.s_next) == (orb.t_next, orb.s_next)
+        # the reader numbers the cusps in its own order: compare diagram by diagram
+        assert back.position.keys() == orb.position.keys()
+        at, back_at = list(orb.diagrams), list(back.diagrams)
+        for d, i in orb.position.items():
+            j = back.position[d]
+            assert back_at[back.t_perm[j]] == at[orb.t_perm[i]]
+            assert back_at[back.s_perm[j]] == at[orb.s_perm[i]]
+            assert back.widths[j] == orb.widths[i]
         assert back.surfaces == orb.surfaces
-        assert back.width_of == orb.width_of
         assert sorted(min(map(back.key, c)) for c in back.cycles) == sorted(
             min(map(orb.key, c)) for c in orb.cycles
         )
@@ -537,11 +569,12 @@ class TestOrbitJson:
         doc = json.loads(orbit_to_json(orb))
         assert doc["surfaces"] == [key_to_text(k) for k in orb.surfaces]
         assert doc["base_key"] == doc["surfaces"][0]
-        diagram_of = {orb.key(d): d for d in orb.diagrams}
+        at = list(orb.diagrams)
+        position_of = {orb.key(d): p for p, d in enumerate(at)}
         for i, key in enumerate(orb.surfaces):
-            d = diagram_of[key]
-            assert orb.surfaces[doc["t_edges"][i]] == orb.key(orb.t_next[d])
-            assert orb.surfaces[doc["s_edges"][i]] == orb.key(orb.s_next[d])
+            p = position_of[key]
+            assert orb.surfaces[doc["t_edges"][i]] == orb.key(at[orb.t_perm[p]])
+            assert orb.surfaces[doc["s_edges"][i]] == orb.key(at[orb.s_perm[p]])
         cusps = sorted((min(map(orb.key, c)), len(c)) for c in orb.cycles)
         assert [(orb.surfaces[c["rep"]], c["width"]) for c in doc["cusps"]] == cusps
 
