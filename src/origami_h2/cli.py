@@ -23,10 +23,11 @@ from typing import Optional
 from .congruence import (
     check_orbit_label,
     expected_index,
+    expected_level,
     factorize,
     index_obstruction_check,
-    lcm_upto,
     noncongruence_search,
+    orbit_labels,
 )
 from .enumeration import count_primitive, enumerate_diagrams, verify_counts
 from .origami_core import (
@@ -163,7 +164,7 @@ def cmd_badcases(args: argparse.Namespace) -> int:
     rows = []
     for n in BAD_CASE_ROWS:
         d = expected_index("B", n)
-        ell = lcm_upto(n).value // 4
+        ell = expected_level("B", n)
         witness = index_obstruction_check(d, ell, n - 4, 5)
         if witness is None or d % witness.delta == 0:
             # the table rows are exactly the certified cases; a None here
@@ -186,23 +187,9 @@ def cmd_badcases(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _expected_level(label: str, n: int) -> int:
-    if n == 3:
-        return 2
-    ell = lcm_upto(n).value
-    return ell // 4 if label == "B" else ell
-
-
 def _orbits_for(n: int) -> dict:
     """The named orbits at n: {label: Orbit} (one for n even or n = 3)."""
-    if n == 3:
-        return {"A": orbit(seed_surface("A", 3))}
-    if n % 2 == 0:
-        return {"C": orbit(seed_surface("C", n))}
-    return {
-        "A": orbit(seed_surface("A", n)),
-        "B": orbit(seed_surface("B", n)),
-    }
+    return {label: orbit(seed_surface(label, n)) for label in orbit_labels(n)}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -225,7 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             detail = f"{detail} vs total {total}"
         elif args.suite == "levels":
             got = {label: level(orb) for label, orb in orbits.items()}
-            want = {label: _expected_level(label, n) for label in orbits}
+            want = {label: expected_level(label, n) for label in orbits}
             ok = got == want
             detail = ", ".join(f"{lab}: {got[lab]} (expected {want[lab]})" for lab in sorted(got))
         else:  # invariant

@@ -9,7 +9,7 @@ all of SL(2,Z/mZ), so a congruence Γ of index d would force d to divide
 δ = [Γ(m):Γ(ℓ)].  Whenever d ∤ δ, the subgroup is certified noncongruence.
 
 All index arithmetic is exact integer work on prime factorisations:
-[Γ(1):Γ(m)] = ∏_{p^e ∥ m} p^{3e−2}(p²−1), multiplicative in coprime parts.
+[Γ(1):Γ(m)] = m·J₂(m) = ∏_{p^e ∥ m} p^{3e−2}(p²−1), multiplicative in coprime parts.
 """
 
 from __future__ import annotations
@@ -125,11 +125,8 @@ def moebius(n: int) -> int:
 
 
 def principal_index(m: int) -> int:
-    """[Γ(1):Γ(m)] = ∏_{p^e ∥ m} p^{3e−2}(p²−1); equals 1 at m = 1."""
-    out = 1
-    for p, e in factorize(m).factors:
-        out *= p ** (3 * e - 2) * (p * p - 1)
-    return out
+    """[Γ(1):Γ(m)] = m·J₂(m), as p^{3e−2}(p²−1) = p^e·p^{2e−2}(p²−1) (J₂: :func:`stratum_product`)."""
+    return m * stratum_product(m)
 
 
 def relative_index(m: int, ell: int) -> int:
@@ -146,7 +143,7 @@ def relative_index(m: int, ell: int) -> int:
 
 
 def stratum_product(n: int) -> int:
-    """n² ∏_{p|n} (1 − 1/p²) = ∏_{p^e ∥ n} p^{2e−2}(p²−1), exactly."""
+    """Jordan's J₂(n) = n² ∏_{p|n} (1 − 1/p²) = ∏_{p^e ∥ n} p^{2e−2}(p²−1), exactly."""
     out = 1
     for p, e in factorize(n).factors:
         out *= p ** (2 * e - 2) * (p * p - 1)
@@ -172,16 +169,25 @@ def formula_split(n: int) -> tuple:
     return a // 16, b // 16
 
 
-def check_orbit_label(label: str, n: int) -> None:
-    """Raise ValueError unless (label, n) names an orbit of H(2).
+_LEAST_N = {"A": 3, "B": 5, "C": 4}
 
-    A and B are the two odd-n orbits (one and three integer Weierstrass
-    points), C the single even-n orbit; A also covers the lone n = 3 orbit.
+
+def orbit_labels(n: int) -> list:
+    """The labels of the named orbits of H(2) at n squares.
+
+    A and B are the two odd-n orbits, with one and three integer Weierstrass
+    points (Hubert–Lelièvre), C the single even-n orbit (McMullen); A also
+    covers the lone n = 3 orbit.
     """
-    least = {"A": 3, "B": 5, "C": 4}.get(label)
+    return [label for label, least in _LEAST_N.items() if n >= least and n % 2 != (label == "C")]
+
+
+def check_orbit_label(label: str, n: int) -> None:
+    """Raise ValueError unless (label, n) names an orbit of H(2)."""
+    least = _LEAST_N.get(label)
     if least is None:
         raise ValueError(f"unknown orbit label {label!r}")
-    if n < least or n % 2 == (label == "C"):
+    if label not in orbit_labels(n):
         raise ValueError(f"{label}_n needs {'even' if label == 'C' else 'odd'} n >= {least}")
 
 
@@ -195,6 +201,15 @@ def expected_index(orbit_label: str, n: int) -> int:
         return formula_total(n)
     a, b = formula_split(n)
     return b if orbit_label == "B" else a
+
+
+def expected_level(orbit_label: str, n: int) -> int:
+    """Level predicted for the named orbit: lcm(1..n), a quarter of it for B, 2 at n = 3."""
+    check_orbit_label(orbit_label, n)
+    if n == 3:
+        return 2
+    ell = lcm_upto(n).value
+    return ell // 4 if orbit_label == "B" else ell
 
 
 class ArithmeticWitness(NamedTuple):

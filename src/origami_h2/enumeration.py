@@ -73,21 +73,26 @@ class CountReport(NamedTuple):
 
 
 def _two_cylinder_shapes(n: int) -> Iterator[tuple]:
-    """All (h1, h2, w1, w2) with h1·w1 + h2·w2 = n and w1 < w2."""
+    """All (h1, h2, w1, w2) with h1·w1 + h2·w2 = n, w1 < w2 and coprime heights.
+
+    A common factor of the heights divides every minor of
+    :func:`lattice_index`, so it divides the lattice index: no twists make
+    such a shape primitive.
+    """
     for w2 in range(2, n):
         for h2 in range(1, (n - 1) // w2 + 1):
             m1 = n - h2 * w2
             for w1 in divisors(m1):
                 if w1 >= w2:
                     break
-                yield (m1 // w1, h2, w1, w2)
+                h1 = m1 // w1
+                if gcd(h1, h2) == 1:
+                    yield (h1, h2, w1, w2)
 
 
 def _candidates(n: int) -> Iterator[CylinderDiagram]:
     """The normalised diagrams of the primitive n-square census, in coordinates."""
     for h1, h2, w1, w2 in _two_cylinder_shapes(n):
-        if gcd(h1, h2) != 1:
-            continue
         g = gcd(w1, w2)
         for t1 in range(w1):
             c = h2 * t1
@@ -159,11 +164,7 @@ def count_one_cylinder(n: int) -> int:
 
 
 def count_two_cylinder(n: int) -> int:
-    return sum(
-        _primitive_twist_pairs(h1, h2, w1, w2)
-        for h1, h2, w1, w2 in _two_cylinder_shapes(n)
-        if gcd(h1, h2) == 1
-    )
+    return sum(_primitive_twist_pairs(*shape) for shape in _two_cylinder_shapes(n))
 
 
 def count_primitive(n: int) -> int:
@@ -213,8 +214,6 @@ def _classify_two_cylinder(n: int) -> tuple:
     """
     a = b = 0
     for h1, h2, w1, w2 in _two_cylinder_shapes(n):
-        if gcd(h1, h2) != 1:
-            continue
         pairs = _primitive_twist_pairs(h1, h2, w1, w2)
         if h1 % 2 == w1 % 2 == 0 or h2 % 2 == w2 % 2 == 0:
             if pairs % 2:

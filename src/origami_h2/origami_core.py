@@ -57,10 +57,6 @@ class OneCylinder(NamedTuple):
     def n(self) -> int:
         return (self.l1 + self.l2 + self.l3) * self.h
 
-    @property
-    def width(self) -> int:
-        return self.l1 + self.l2 + self.l3
-
 
 class TwoCylinder(NamedTuple):
     """Two horizontal cylinders: heights h1, h2, widths w1 < w2, twists."""
@@ -89,6 +85,21 @@ def _inverse(p: tuple) -> tuple:
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def _cycles(p) -> list:
+    """The cycles of the permutation p, each from its least point, in that order."""
+    seen = bytearray(len(p))
+    cycles = []
+    for x in range(len(p)):
+        cyc = []
+        while not seen[x]:
+            seen[x] = 1
+            cyc.append(x)
+            x = p[x]
+        if cyc:
+            cycles.append(cyc)
+    return cycles
 
 
 def _check_perm(p, n: int, name: str) -> None:
@@ -336,22 +347,14 @@ def _climb(u, row_of, x) -> tuple:
 
 
 def _one_cylinder_diagram(u, breaks, row_of, pos, w) -> OneCylinder:
-    # Each break q can serve as position 0 of the top row: the arcs between
-    # the cuts, in order from q, are (l1, l2, l3), and the twist is where
-    # up(q) lands on the bottom row, measured from the column under q, less
-    # l2 + l3.  The decomposition is the least of the three readings, so
-    # only those with the least arcs climb: one, or all three if l1 = l2 = l3.
-    order = sorted(breaks, key=pos.__getitem__)
-    p0, p1, p2 = [pos[q] for q in order]
-    arcs = (p1 - p0, p2 - p1, w - p2 + p0)
-    readings = [(arcs[i:] + arcs[:i], q) for i, q in enumerate(order)]
-    least = min(readings)[0]
-    found = []
-    for (l1, l2, l3), q in readings:
-        if (l1, l2, l3) == least:
-            a, h = _climb(u, row_of, u[q])
-            found.append(OneCylinder(l1, l2, l3, (pos[a] - pos[q] + l1) % w, h))
-    return min(found)
+    # The top row is walked from q = breaks[0], so pos[q] == 0 and q serves
+    # as position 0: the arcs between the cuts, in order from q, are
+    # (l1, l2, l3), and the twist is where up(q) lands on the bottom row,
+    # measured from the column under q, less l2 + l3 (≡ plus l1 mod w).
+    # The normal form is the least rotation of that reading.
+    p1, p2 = sorted(pos[q] for q in breaks[1:])
+    a, h = _climb(u, row_of, u[breaks[0]])
+    return least_rotation(OneCylinder(p1, p2 - p1, w - p2, (pos[a] + p1) % w, h))
 
 
 def _two_cylinder_diagram(u, breaks, row_of, pos, widths) -> TwoCylinder:
@@ -443,6 +446,9 @@ def _key(r, u, corners) -> bytes:
             flat.append(b1)
         else:  # never abandoned: flat ≤ best
             best = flat
+    # a start reaches only its own component of a pair built with check=False
+    if len(best) != 2 * n:
+        raise ValueError("permutation pair is not transitive (disconnected surface)")
     body = bytes(best) if n <= 0xFF else pack(f">{2 * n}H", *best)
     return pack(">H", n) + body
 
@@ -559,21 +565,7 @@ def integer_weierstrass_count(o: Origami) -> int:
 
 
 def _cycles_str(p) -> str:
-    n = len(p)
-    seen = [False] * n
-    parts = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = True
-        x = p[s]
-        while x != s:
-            cyc.append(x)
-            seen[x] = True
-            x = p[x]
-        parts.append("(" + " ".join(str(v + 1) for v in cyc) + ")")
-    return "".join(parts)
+    return "".join("(" + " ".join(str(v + 1) for v in cyc) + ")" for cyc in _cycles(p))
 
 
 _ONE_CYL_RE = re.compile(

@@ -45,6 +45,7 @@ from .origami_core import (
     OneCylinder,
     Origami,
     TwoCylinder,
+    _cycles,
     _decompose,
     _inverse,
     _key_images,
@@ -82,9 +83,6 @@ class MatrixZ(NamedTuple):
 
 
 IDENTITY = MatrixZ(1, 0, 0, 1)
-T = MatrixZ(1, 1, 0, 1)
-S = MatrixZ(0, 1, -1, 0)
-V = MatrixZ(1, 0, 1, 1)
 
 
 def t_power(k: int) -> MatrixZ:
@@ -112,23 +110,11 @@ def apply_S_inverse(o: Origami) -> Origami:
 
 def _perm_power(p: tuple, k: int) -> tuple:
     """p^k computed cycle by cycle (k may be negative)."""
-    n = len(p)
-    out = [0] * n
-    seen = bytearray(n)
-    for s in range(n):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = 1
-        x = p[s]
-        while x != s:
-            cyc.append(x)
-            seen[x] = 1
-            x = p[x]
-        m = len(cyc)
-        shift = k % m
-        for i, v in enumerate(cyc):
-            out[v] = cyc[(i + shift) % m]
+    out = [0] * len(p)
+    for cyc in _cycles(p):
+        shift = k % len(cyc)
+        for v, image in zip(cyc, cyc[shift:] + cyc[:shift]):
+            out[v] = image
     return tuple(out)
 
 

@@ -14,17 +14,20 @@ from origami_h2.congruence import (
     divisors,
     euler_phi,
     expected_index,
+    expected_level,
     factorize,
     index_obstruction_check,
     lcm_upto,
     moebius,
     noncongruence_search,
+    orbit_labels,
     principal_index,
     relative_index,
     smooth_p2m1_scan,
     stratum_product,
     verify_certificate,
 )
+from origami_h2.sl2_orbit import level
 
 
 class TestFactoredInteger:
@@ -121,6 +124,11 @@ class TestIndexFormulas:
                 if gcd(a, b) == 1:
                     assert principal_index(a * b) == principal_index(a) * principal_index(b)
 
+    def test_principal_index_is_sl2_order(self):
+        # [Γ(1):Γ(m)] = |SL(2, Z/m)|, read off trial-division primes
+        for m in range(1, 201):
+            assert principal_index(m) == _sl2_order(m)
+
     @pytest.mark.parametrize(
         "m,ell,want", [(126, 630, 120), (15, 60, 48), (1, 2, 6), (7, 7, 1)]
     )
@@ -154,6 +162,14 @@ class TestIndexFormulas:
     def test_expected_index_rejects(self, label, n):
         with pytest.raises(ValueError):
             expected_index(label, n)
+
+    @pytest.mark.parametrize("n,want", [(3, ["A"]), (4, ["C"]), (5, ["A", "B"]), (6, ["C"])])
+    def test_orbit_labels(self, n, want):
+        assert orbit_labels(n) == want
+
+    @pytest.mark.parametrize("label,n", [(label, n) for n in range(3, 16) for label in orbit_labels(n)])
+    def test_expected_level_is_the_orbit_level(self, named_orbit, label, n):
+        assert expected_level(label, n) == level(named_orbit(label, n))
 
 
 class TestObstruction:
@@ -254,9 +270,11 @@ class TestCertificates:
             verify_certificate(cert._replace(m=1))
         with pytest.raises(RuntimeError):
             verify_certificate(cert._replace(d=cert.delta))
-        # arithmetic still consistent, but T^1 does not stabilise the surface
-        with pytest.raises(RuntimeError):
+        # arithmetic still consistent, but T^1 (V^1) does not stabilise the surface
+        with pytest.raises(RuntimeError, match=r"T\^1"):
             verify_certificate(cert._replace(k=1))
+        with pytest.raises(RuntimeError, match=r"V\^1 does not stabilise"):
+            verify_certificate(cert._replace(k_prime=1))
 
     def test_level2_verification(self, named_orbit):
         assert congruence_verify_level2(named_orbit("A", 3)) is True

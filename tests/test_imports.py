@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, and every
-function and class a package module defines is reached from outside itself."""
+function, class, module-level name and class member a package module
+defines is reached from outside itself."""
 
 import ast
 from pathlib import Path
@@ -42,11 +43,31 @@ def names_in(node) -> set:
     return names
 
 
+def definitions(tree) -> list:
+    """(name, node, owner) of every non-dunder name a module defines.
+
+    These are its top-level functions, classes and assigned names (owner
+    None), and the methods and properties of its classes (owner the class).
+    """
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node, None))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node, None) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(member.name, member, node) for member in node.body
+                      if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [entry for entry in found if not entry[0].startswith("__")]
+
+
 def unreached_definitions() -> list:
-    """Top-level functions and classes that nothing outside their own definition reaches.
+    """Definitions that nothing outside their own definition reaches.
 
     A definition is reached when another statement of a package module names
     it, when ``__init__`` exports it, or when the acceptance tests import it.
+    A class member is also reached from the other members of its class.
     """
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     exported = names_in(trees.pop("__init__.py"))
@@ -55,12 +76,13 @@ def unreached_definitions() -> list:
     statements = [(node, names_in(node)) for tree in trees.values() for node in tree.body]
     unreached = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            named = any(node.name in names for other, names in statements if other is not node)
-            if not (named or node.name in exported or node.name in accepted):
-                unreached.append(f"{module}:{node.name}")
+        for name, node, owner in definitions(tree):
+            outer = owner or node
+            named = any(name in names for other, names in statements if other is not outer)
+            if owner is not None:
+                named = named or any(name in names_in(m) for m in owner.body if m is not node)
+            if not (named or name in exported or name in accepted):
+                unreached.append(f"{module}:{owner.name + '.' if owner else ''}{name}")
     return unreached
 
 

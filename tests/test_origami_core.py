@@ -152,6 +152,24 @@ class TestOrigamiValidation:
         with pytest.raises(ValueError):
             Origami((1, 0, 3, 2), (0, 1, 2, 3))
 
+    def test_disconnected_pair_has_no_key_or_diagram(self):
+        # L(2,2) next to a separate torus square, unchecked: its key search
+        # reaches only the L's three squares
+        l_shape = build_l_shape(2, 2)
+        o = Origami(l_shape.right + (3,), l_shape.up + (3,), check=False)
+        with pytest.raises(ValueError, match="not transitive"):
+            canonical_key(o)
+        with pytest.raises(MalformedSurfaceError, match="row gluing structure is inconsistent"):
+            cylinder_decomposition(o)
+
+    def test_immutable_hashable_value(self):
+        o = build_l_shape(2, 4)
+        with pytest.raises(AttributeError):
+            o.n = 5
+        twin = build_l_shape(2, 4)
+        assert twin is not o and hash(twin) == hash(o)
+        assert len({o, twin}) == 1
+
     def test_rejects_empty_pair(self):
         with pytest.raises(ValueError):
             Origami((), ())
@@ -181,7 +199,7 @@ class TestDecomposition:
         diag = cylinder_decomposition(build_one_cylinder(1, 6, 2, 0, 1))
         assert isinstance(diag, OneCylinder)
         assert diag == OneCylinder(1, 6, 2, 0, 1)
-        assert diag.width == 9 and diag.h == 1
+        assert diag.l1 + diag.l2 + diag.l3 == 9 and diag.h == 1
 
     def test_two_cylinder_round_trip_all_tuples_up_to_15(self):
         for n in range(3, 16):

@@ -27,9 +27,6 @@ from origami_h2.origami_core import (
 from origami_h2.sl2_orbit import (
     IDENTITY,
     ORBIT_SCHEMA_VERSION,
-    S,
-    T,
-    V,
     MatrixZ,
     apply_matrix,
     apply_S,
@@ -51,6 +48,10 @@ import oracles
 from oracles import all_turns_orbit, apply_T_inverse, relabel, shear
 from test_origami_core import all_one_cylinder_tuples, all_two_cylinder_tuples
 
+# the generators: horizontal shear, quarter turn and vertical shear
+T = MatrixZ(1, 1, 0, 1)
+S = MatrixZ(0, 1, -1, 0)
+V = MatrixZ(1, 0, 1, 1)
 
 ORBIT_JSON_GOLDEN = Path(__file__).resolve().parent / "golden" / "orbit_json.json"
 
