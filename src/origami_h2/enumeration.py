@@ -12,13 +12,13 @@ is swept in cylinder coordinates:
 
 Primitivity in coordinates is gcd(h1,h2) = 1 together with
 gcd(gcd(w1,w2), h2·t1 − h1·t2) = 1 (one-cylinder: gcd(l1,l2,l3) = 1), which
-is the lattice-index test specialised to the builders.  One sweep builds
-every candidate and checks it on the built surface: three corners, a
-decomposition that gives back the enumerated tuple (one-cylinder tuples are
-kept only as their least rotation, which is what the decomposition returns)
-and lattice index 1.  The census is that set of diagrams
-(:func:`enumerate_diagrams`); :func:`enumerate_primitive` keys the same sweep
-for output and tests.
+is the lattice-index test specialised to the builders.  One sweep checks
+every candidate's laid-out permutations, with no surface built: three
+corners, a decomposition that gives back the enumerated tuple (one-cylinder
+tuples are kept only as their least rotation, which is what the
+decomposition returns) and lattice index 1.  The census is that set of
+diagrams (:func:`enumerate_diagrams`); :func:`enumerate_primitive` keys the
+same sweep for output and tests.
 
 Counting is done in the same coordinates: per two-cylinder shape the number
 of primitive twist pairs is w1·w2·φ(g)/g with g = gcd(w1,w2), and the odd-n
@@ -42,8 +42,7 @@ from .origami_core import (
     _corners,
     _decompose,
     _key,
-    build_one_cylinder,
-    build_two_cylinder,
+    _perms,
     lattice_index,
     least_rotation,
     weierstrass_count,
@@ -118,13 +117,11 @@ def _candidates(n: int) -> Iterator[CylinderDiagram]:
 
 
 def _sweep(n: int) -> Iterator[tuple]:
-    """(diag, right, up, corners) per candidate, checked on its built surface."""
+    """(diag, right, up, corners) per candidate, checked on its laid-out permutations."""
     if n < 3:
         raise ValueError("H(2) needs at least 3 squares")
     for diag in _candidates(n):
-        build = build_one_cylinder if isinstance(diag, OneCylinder) else build_two_cylinder
-        o = build(*diag)
-        r, u = o.right, o.up
+        r, u = _perms(diag)
         corners = _corners(r, u)
         if len(corners) != 3:
             raise AssertionError(f"{diag} builds a surface with {len(corners)} corners")

@@ -191,7 +191,7 @@ def build_two_cylinder(h1: int, h2: int, w1: int, w2: int, t1: int, t2: int) -> 
     Twists may be arbitrary integers; they are reduced modulo the widths.
     Raises InvalidSurfaceError unless :func:`_checked` accepts the diagram.
     """
-    return _built(_checked(TwoCylinder(h1, h2, w1, w2, t1, t2)))
+    return build_from_diagram(TwoCylinder(h1, h2, w1, w2, t1, t2))
 
 
 def build_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Origami:
@@ -200,7 +200,7 @@ def build_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Ori
     The top boundary splits into arcs of lengths (l1, l2, l3); the bottom is
     the reversed sequence (l3, l2, l1), and the twist t rotates the gluing.
     """
-    return _built(_checked(OneCylinder(l1, l2, l3, t, h)))
+    return build_from_diagram(OneCylinder(l1, l2, l3, t, h))
 
 
 def _checked(diag: CylinderDiagram) -> CylinderDiagram:
@@ -215,12 +215,13 @@ def _checked(diag: CylinderDiagram) -> CylinderDiagram:
     return diag
 
 
-def _built(diag: CylinderDiagram) -> Origami:
-    rows, up, _ = _layout(diag)
+def _perms(diag: CylinderDiagram) -> tuple:
+    """(right, up) as lists: the surface of ``diag`` once :func:`_checked` accepts it."""
+    rows, up, _ = _layout(_checked(diag))
     right = list(range(1, len(up) + 1))
     for a, w, end in rows:
         right[a + w - 1 : end : w] = range(a, end, w)
-    return Origami(right, up, check=False)
+    return right, up
 
 
 def _layout(diag: CylinderDiagram) -> tuple:
@@ -398,9 +399,9 @@ def canonical_key(o: Origami) -> bytes:
     encodings.  So two origamis get equal keys iff they differ by a
     simultaneous relabelling, and a key costs O(n).  The key is
     self-describing: ``pack(">H", n)`` followed by the relabelled
-    (right, up) images, as bytes for n ≤ 255 and as ``>H`` words above; it
-    decodes back to the canonical representative via
-    :func:`origami_from_key`.
+    (right, up) images, as bytes for n ≤ 255 and as ``>H`` words above (up
+    to n = 65535; a larger n raises ValueError); it decodes back to the
+    canonical representative via :func:`origami_from_key`.
     """
     return _key(o.right, o.up, _corners(o.right, o.up))
 
@@ -408,6 +409,8 @@ def canonical_key(o: Origami) -> bytes:
 def _key(r, u, corners) -> bytes:
     """:func:`canonical_key` of the pair (r, u) with the given corners."""
     n = len(r)
+    if n > 0xFFFF:
+        raise ValueError("a canonical key holds at most 65535 squares")
     # the commutator moves u(r(y)) exactly for the corners y
     starts = [u[r[y]] for y in corners] or range(n)
     best = None
@@ -595,6 +598,4 @@ def parse_diagram(text: str) -> CylinderDiagram:
 
 
 def build_from_diagram(diag: CylinderDiagram) -> Origami:
-    if isinstance(diag, OneCylinder):
-        return build_one_cylinder(diag.l1, diag.l2, diag.l3, diag.t, diag.h)
-    return build_two_cylinder(*diag)
+    return Origami(*_perms(diag), check=False)

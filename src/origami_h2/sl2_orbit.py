@@ -463,29 +463,24 @@ def orbit_from_json(text: str) -> Orbit:
         cylinder_decomposition(Origami(*_key_images(k), check=False)) for k in surfaces
     ]
 
-    def resolve(name: str) -> dict:
+    def resolve(name: str) -> list:
         targets = [_index(i, size) for i in _field(doc, f"{name}_edges", list)]
         if len(targets) != size:
             raise ValueError("edge arrays do not match the surface list")
         # checked before the T-edges are walked into cycles, which needs a bijection
         if len(set(targets)) != size:
             raise ValueError(f"{name}-edges are not a permutation of the orbit")
-        return {d: diagrams[i] for d, i in zip(diagrams, targets)}
+        return targets
 
     t_next, s_next = resolve("t"), resolve("s")
-    cycles, seen = [], set()
-    for diag in t_next:
-        if diag not in seen:
-            cycle = [diag]
-            while (cur := t_next[cycle[-1]]) != diag:
-                cycle.append(cur)
-            seen.update(cycle)
-            cycles.append(cycle)
+    cycles = _cycles(t_next)
     # the cusps take consecutive positions, as in orbit()
-    position = {d: i for i, d in enumerate(d for cycle in cycles for d in cycle)}
+    order = [i for cycle in cycles for i in cycle]
+    rank = _inverse(order)
     base_key = key_from_text(_field(doc, "base_key", str))
-    orb = Orbit(_field(doc, "n", int), position, [position[t_next[d]] for d in position],
-                [position[s_next[d]] for d in position], cycles)
+    orb = Orbit(_field(doc, "n", int), {diagrams[i]: p for p, i in enumerate(order)},
+                [rank[t_next[i]] for i in order], [rank[s_next[i]] for i in order],
+                [[diagrams[i] for i in cycle] for cycle in cycles])
     if orb.surfaces[:1] != (base_key,):
         raise ValueError("base key is not the orbit's canonical representative")
     if len(_key_images(base_key)[0]) != orb.n:

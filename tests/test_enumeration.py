@@ -17,6 +17,9 @@ from origami_h2.enumeration import (
     verify_counts,
 )
 from origami_h2.origami_core import (
+    InvalidSurfaceError,
+    OneCylinder,
+    TwoCylinder,
     build_from_diagram,
     canonical_key,
     in_h2,
@@ -98,20 +101,20 @@ class TestCrossCheck:
     """
 
     def test_wrong_two_cylinder_twist_raises(self, monkeypatch):
-        real = enumeration.build_two_cylinder
+        real = enumeration._perms
         monkeypatch.setattr(
-            enumeration, "build_two_cylinder",
-            lambda h1, h2, w1, w2, t1, t2: real(h1, h2, w1, w2, t1, t2 + 1),
+            enumeration, "_perms",
+            lambda d: real(d._replace(t2=d.t2 + 1) if isinstance(d, TwoCylinder) else d),
         )
         for enumerate_ in ENUMERATORS:
             with pytest.raises(AssertionError, match="decomposes as"):
                 enumerate_(7)
 
     def test_wrong_one_cylinder_twist_raises(self, monkeypatch):
-        real = enumeration.build_one_cylinder
+        real = enumeration._perms
         monkeypatch.setattr(
-            enumeration, "build_one_cylinder",
-            lambda l1, l2, l3, t, h: real(l1, l2, l3, t + 1, h),
+            enumeration, "_perms",
+            lambda d: real(d._replace(t=d.t + 1) if isinstance(d, OneCylinder) else d),
         )
         for enumerate_ in ENUMERATORS:
             with pytest.raises(AssertionError, match="decomposes as"):
@@ -124,6 +127,26 @@ class TestCrossCheck:
         for enumerate_ in ENUMERATORS:
             with pytest.raises(AssertionError, match="lattice determinant 2"):
                 enumerate_(6)
+
+    def test_flat_torus_candidate_raises(self, monkeypatch):
+        # the n-cycle beside the identity has no corner: the H(2) check fires
+        # before the decomposition is tried
+        monkeypatch.setattr(
+            enumeration, "_perms", lambda d: ([*range(1, d.n), 0], list(range(d.n)))
+        )
+        for enumerate_ in ENUMERATORS:
+            with pytest.raises(AssertionError, match="builds a surface with 0 corners"):
+                enumerate_(7)
+
+    def test_invalid_candidate_raises(self, monkeypatch):
+        # w1 > w2: the sweep's permutations come from the checked diagram only
+        def candidates(n):
+            yield TwoCylinder(1, 1, 3, 2, 0, 0)
+
+        monkeypatch.setattr(enumeration, "_candidates", candidates)
+        for enumerate_ in ENUMERATORS:
+            with pytest.raises(InvalidSurfaceError, match="need w1 < w2"):
+                enumerate_(5)
 
 
 class TestCornerScans:
@@ -160,6 +183,15 @@ class TestCornerScans:
         calls.clear()
         assert all(rep.match for rep in verify_counts(3, 15))
         assert len(calls) == sum(formula_total(n) for n in range(3, 16))
+
+    def test_counting_builds_no_surface(self, monkeypatch):
+        # the sweep checks the laid-out permutations; no Origami is made
+        def no_surface(*args, **kwargs):
+            raise RuntimeError("counting built a surface")
+
+        monkeypatch.setattr(origami_core, "Origami", no_surface)
+        assert len(enumerate_diagrams(9)) == 189
+        assert all(rep.match for rep in verify_counts(3, 12))
 
 
 class TestClassify:

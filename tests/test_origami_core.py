@@ -28,6 +28,7 @@ from origami_h2.origami_core import (
     OneCylinder,
     Origami,
     TwoCylinder,
+    _decompose,
     _is_transitive,
     build_from_diagram,
     build_l_shape,
@@ -233,6 +234,22 @@ class TestDecomposition:
         diag = cylinder_decomposition(quarter_turn(build_one_cylinder(1, 6, 2, 0, 1)))
         assert isinstance(diag, OneCylinder)
 
+    @pytest.mark.parametrize(
+        "r,u,match",
+        [
+            ((0, 1, 2), (0, 1, 2), "3 cylinders"),
+            ((1, 0, 3, 2), (0, 1, 2, 3), "equal width"),
+            ((1, 0, 3, 4, 2), (0, 1, 2, 3, 4), "must hold one corner"),
+            ((0, 2, 1), (0, 1, 2), "does not glue into the narrow one"),
+        ],
+        ids=["three-rows", "equal-widths", "narrow-two-breaks", "no-narrow-gluing"],
+    )
+    def test_corners_from_outside_the_scan_raise(self, r, u, match):
+        # _decompose trusts its caller's corners (quarter_turn passes the
+        # laid-out breaks); corners 0, 1, 2 of these pairs are no H(2) corners
+        with pytest.raises(MalformedSurfaceError, match=match):
+            _decompose(r, u, [0, 1, 2])
+
 
 class TestDecompositionOracles:
     def test_rebuilds_every_surface_in_both_directions(self):
@@ -421,6 +438,11 @@ class TestKeyDecoding:
         text = ",".join(map(str, o.right)) + "|" + ",".join(map(str, o.up))
         with pytest.raises(ValueError, match="at most 65535 squares"):
             key_from_text(text)
+
+    def test_canonical_key_rejects_more_squares_than_a_key_holds(self):
+        # a ValueError, not the struct.error of packing n into the header
+        with pytest.raises(ValueError, match="at most 65535 squares"):
+            canonical_key(build_l_shape(2, 0xFFFF))
 
 
 class TestWideKey:
