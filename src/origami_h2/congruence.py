@@ -274,17 +274,20 @@ def noncongruence_search(orb: Orbit) -> Optional[NoncongruenceCertificate]:
     passes the arithmetic obstruction yields the certificate, on the least
     key carrying that pair, after full re-verification.  The reported
     (k, k′, m, δ) is thus an invariant of the orbit, not of the key bytes.
-    Pairs are read off the width at each position and ``s_perm``, so only
-    the carriers of the certifying pair are keyed.  None means
-    inconclusive — the criterion is one-sided and never proves congruence.
+    Pairs are read off the width at each position and ``s_perm``, and only
+    the carriers of the certifying pair are built (:meth:`Orbit.diagram`)
+    and keyed, so no cusp is listed.  None means inconclusive — the
+    criterion is one-sided and never proves congruence.
     """
     d = orb.index
     ell = level(orb)
-    pairs = list(zip(orb.widths, map(orb.widths.__getitem__, orb.s_perm)))
+    widths = orb.widths
+    pairs = list(zip(widths, map(widths.__getitem__, orb.s_perm)))
     for k, k_prime in sorted(set(pairs)):
         witness = index_obstruction_check(d, ell, k, k_prime)
         if witness is not None:
-            key = min(map(orb.key, compress(orb.diagrams, map((k, k_prime).__eq__, pairs))))
+            carriers = compress(range(d), map((k, k_prime).__eq__, pairs))
+            key = min(map(orb.key, map(orb.diagram, carriers)))
             cert = NoncongruenceCertificate(
                 key, k, k_prime, d, ell, witness.m, witness.delta
             )

@@ -308,79 +308,89 @@ def _decompose(r, u, corners) -> CylinderDiagram:
 
     A cylinder's top row holds a corner; the other rows glue rigidly to the
     row above.  Each top row is walked once from a break q = r(corner), the
-    first square after a cut, into one position array.  The rest is read off
-    by climbing single columns from the bottom squares u(q) to the next top
+    first square after a cut, into one place array: the first row walked
+    takes places [0, w), the second [w, w + w′).  The rest is read off by
+    climbing single columns from the bottom squares u(q) to the next top
     row, so the cost is the top rows' length plus the heights.
     """
     n = len(r)
     breaks = [r[y] for y in corners]
-    row_of = [-1] * n  # index of the top row holding a square, -1 below the tops
-    pos = [0] * n  # position along its top row, counted from that row's first break
-    widths = []
+    place = [-1] * n  # place along the walked top rows, -1 below the tops
+    ends = []  # the place after each walked row
+    k = 0
     for q in breaks:
-        if row_of[q] < 0:
-            row = len(widths)
-            x, k = q, 0
-            while row_of[x] < 0:
-                row_of[x] = row
-                pos[x] = k
+        if place[q] < 0:
+            x = q
+            while place[x] < 0:
+                place[x] = k
                 k += 1
                 x = r[x]
-            widths.append(k)
-    if len(widths) == 1:
-        diag = _one_cylinder_diagram(u, breaks, row_of, pos, widths[0])
-    elif len(widths) == 2:
-        diag = _two_cylinder_diagram(u, breaks, row_of, pos, widths)
+            ends.append(k)
+    if len(ends) == 1:
+        diag = _one_cylinder_diagram(u, breaks, place, k)
+    elif len(ends) == 2:
+        diag = _two_cylinder_diagram(u, breaks, place, ends[0], k - ends[0])
     else:
-        raise MalformedSurfaceError(f"{len(widths)} cylinders; H(2) allows only 1 or 2")
+        raise MalformedSurfaceError(f"{len(ends)} cylinders; H(2) allows only 1 or 2")
     if diag.n != n:
         raise MalformedSurfaceError("row gluing structure is inconsistent")
     return diag
 
 
-def _climb(u, row_of, x) -> tuple:
+def _climb(u, place, x) -> tuple:
     """(first top-row square at or above x, number of rows from x up to it)."""
     for h in range(1, len(u) + 1):
-        if row_of[x] >= 0:
+        if place[x] >= 0:
             return x, h
         x = u[x]
     raise MalformedSurfaceError("rigid row gluings form a cycle")
 
 
-def _one_cylinder_diagram(u, breaks, row_of, pos, w) -> OneCylinder:
-    # The top row is walked from q = breaks[0], so pos[q] == 0 and q serves
+def _one_cylinder_diagram(u, breaks, place, w) -> OneCylinder:
+    # The top row is walked from q = breaks[0], so place[q] == 0 and q serves
     # as position 0: the arcs between the cuts, in order from q, are
     # (l1, l2, l3), and the twist is where up(q) lands on the bottom row,
     # measured from the column under q, less l2 + l3 (≡ plus l1 mod w).
-    # The normal form is the least rotation of that reading.
-    p1, p2 = sorted(pos[q] for q in breaks[1:])
-    a, h = _climb(u, row_of, u[breaks[0]])
-    return least_rotation(OneCylinder(p1, p2 - p1, w - p2, (pos[a] + p1) % w, h))
+    # The normal form is the least rotation of that reading (least_rotation):
+    # unequal lengths never tie, so their triples alone pick it.
+    p1, p2 = sorted([place[q] for q in breaks[1:]])
+    a, h = _climb(u, place, u[breaks[0]])
+    l1, l2, l3 = p1, p2 - p1, w - p2
+    t = (place[a] + p1) % w
+    if l1 == l2 == l3:
+        return least_rotation(OneCylinder(l1, l2, l3, t, h))
+    second, third = (l2, l3, l1), (l3, l1, l2)
+    if second < (l1, l2, l3) and second < third:
+        return OneCylinder(l2, l3, l1, (t - 2 * l1) % w, h)
+    if third < (l1, l2, l3):
+        return OneCylinder(l3, l1, l2, (t - 2 * (l1 + l2)) % w, h)
+    return OneCylinder(l1, l2, l3, t, h)
 
 
-def _two_cylinder_diagram(u, breaks, row_of, pos, widths) -> TwoCylinder:
+def _two_cylinder_diagram(u, breaks, place, wa, wb) -> TwoCylinder:
     # The narrow top row holds one break q1, and up(q1) is the wide bottom
     # row's position 0.  Of the wide top row's two breaks, the one whose
     # up-image climbs into the narrow cylinder, q2, lands on the narrow bottom
     # row's position 0.  t1 and t2 are the positions of q1 and q2 counted from
-    # the top of the column climbed from their cylinder's position 0.
-    narrow = 0 if widths[0] < widths[1] else 1
-    w1, w2 = widths[narrow], widths[1 - narrow]
-    if w1 == w2:
+    # the top of the column climbed from their cylinder's position 0: place
+    # differences within one row.  The narrow row holds the places [lo, hi).
+    if wa == wb:
         raise MalformedSurfaceError("two cylinders of equal width cannot occur in H(2)")
-    narrow_breaks = [q for q in breaks if row_of[q] == narrow]
+    w1, w2 = min(wa, wb), max(wa, wb)
+    lo, hi = (0, wa) if wa < wb else (wa, wa + wb)
+    narrow_breaks = [q for q in breaks if lo <= place[q] < hi]
     if len(narrow_breaks) != 1:
         raise MalformedSurfaceError("the narrow cylinder's top must hold one corner")
     q1 = narrow_breaks[0]
-    a2, h2 = _climb(u, row_of, u[q1])
+    a2, h2 = _climb(u, place, u[q1])
     for q2 in breaks:
         if q2 != q1:
-            a1, h1 = _climb(u, row_of, u[q2])
-            if row_of[a1] == narrow:
+            a1, h1 = _climb(u, place, u[q2])
+            if lo <= place[a1] < hi:
                 break
     else:
         raise MalformedSurfaceError("the wide cylinder does not glue into the narrow one")
-    return TwoCylinder(h1, h2, w1, w2, (pos[q1] - pos[a1]) % w1, (pos[q2] - pos[a2]) % w2)
+    return TwoCylinder(h1, h2, w1, w2, (place[q1] - place[a1]) % w1, (place[q2] - place[a2]) % w2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ normalised cylinder diagrams, which name H(2) surfaces completely.  On
 a diagram T is twist arithmetic: a two-cylinder diagram takes t1 + h1
 (mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h (mod w) and then
 its least rotation.  The T-cycles of an orbit are its cusps; the
-arithmetic gives each one whole (:func:`t_cycle`), and T⁻¹ is a member's
-predecessor on it.  S (:func:`quarter_turn`) decomposes
+arithmetic gives each one whole (:func:`t_cycle`) or one member alone
+(:func:`t_member`), and inverted it gives a diagram's cusp, width and
+place on the cusp (:func:`cusp_coordinates`), so the orbit numbers its
+diagrams without listing any cusp.  S (:func:`quarter_turn`) decomposes
 the turned surface laid out from the diagram, without building it, and
 S² = −I fixes every H(2) surface (the hyperelliptic involution), so one
 quarter turn gives both S-edges of a pair.  With these matrices
@@ -36,7 +38,9 @@ into a word in T and S.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from functools import cached_property
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -179,21 +183,79 @@ def membership(o: Origami, m: MatrixZ) -> bool:
     return canonical_key(apply_matrix(o, m)) == canonical_key(o)
 
 
+def _twist_modulus(l1: int, l2: int, l3: int) -> int:
+    """The modulus of a normalised one-cylinder twist: l for equal lengths l, else the width.
+
+    Equal lengths l read the twist as t, t + l and t + 2l (mod 3l), and the
+    least reading keeps it mod l; unequal lengths alone fix the least reading.
+    """
+    return l1 if l1 == l2 == l3 else l1 + l2 + l3
+
+
 def t_cycle(diag: CylinderDiagram) -> list:
     """The T-cycle (cusp) of a normalised diagram, in T-order from ``diag``.
 
-    Each twist steps by its height, so the cycle closes after the lcm of the
-    steps' orders.  Unequal one-cylinder lengths alone fix the least reading;
-    equal ones l read the twist as t, t + l and t + 2l (mod 3l), so the
-    least reading keeps it mod l.
+    T steps each twist by its height: t1 + h1 (mod w1) and t2 + h2 (mod w2)
+    for two cylinders, t − h (mod :func:`_twist_modulus`) for one.  The
+    cycle closes after the lcm of the steps' orders.  One period of each
+    twist sequence is made, repeated, and zipped into the members, which
+    are built as tuples at C level.
     """
     if isinstance(diag, TwoCylinder):
         h1, h2, w1, w2, t1, t2 = diag
-        k = lcm(w1 // gcd(w1, h1), w2 // gcd(w2, h2))
-        return [TwoCylinder(h1, h2, w1, w2, (t1 + j * h1) % w1, (t2 + j * h2) % w2) for j in range(k)]
+        k1, k2 = w1 // gcd(w1, h1), w2 // gcd(w2, h2)
+        k = lcm(k1, k2)
+        twists1 = list(map(w1.__rmod__, range(t1, t1 + k1 * h1, h1))) * (k // k1)
+        twists2 = list(map(w2.__rmod__, range(t2, t2 + k2 * h2, h2))) * (k // k2)
+        rows = zip(repeat(h1, k), repeat(h2), repeat(w1), repeat(w2), twists1, twists2)
+        return list(map(tuple.__new__, repeat(TwoCylinder), rows))
     l1, l2, l3, t, h = diag
-    w = l1 if l1 == l2 == l3 else l1 + l2 + l3
-    return [OneCylinder(l1, l2, l3, (t - j * h) % w, h) for j in range(w // gcd(w, h))]
+    w = _twist_modulus(l1, l2, l3)
+    k = w // gcd(w, h)
+    rows = zip(repeat(l1, k), repeat(l2), repeat(l3), map(w.__rmod__, range(t, t - k * h, -h)), repeat(h))
+    return list(map(tuple.__new__, repeat(OneCylinder), rows))
+
+
+def t_member(diag: CylinderDiagram, j: int) -> CylinderDiagram:
+    """T^j of a normalised diagram, built alone: ``t_cycle(diag)[j]`` for j below its width."""
+    if isinstance(diag, TwoCylinder):
+        h1, h2, w1, w2, t1, t2 = diag
+        return TwoCylinder(h1, h2, w1, w2, (t1 + j * h1) % w1, (t2 + j * h2) % w2)
+    l1, l2, l3, t, h = diag
+    return OneCylinder(l1, l2, l3, (t - j * h) % _twist_modulus(l1, l2, l3), h)
+
+
+def cusp_coordinates(diag: CylinderDiagram) -> tuple:
+    """(cusp id, width k, offset j) of a normalised diagram: ``diag`` is T^j of the cusp's base point.
+
+    The inverse of :func:`t_cycle`'s closed form.  A twist t stepping by h
+    (mod w) keeps its class r = t mod g, g = gcd(h, w), and runs through
+    that class in k = w/g steps, reaching t after j ≡ ((t − r)/g)·(h/g)⁻¹
+    (mod k) steps from r.  Two cylinders: the narrow twist alone gives k1
+    and j ≡ j1 (mod k1).  Write j = j1 + m·k1: T^{k1} fixes the narrow twist
+    and steps the wide one by k1·h2, so t2 − j1·h2 (mod w2) gives k2 and m
+    the same way, and k = k1·k2.  The base point has the twists r1 and r2,
+    so the id (h1, h2, w1, w2, r1, r2) names the cusp.  One cylinder: the
+    twist steps by −h, and the id is (l1, l2, l3, h, r).
+    """
+    if isinstance(diag, TwoCylinder):
+        h1, h2, w1, w2, t1, t2 = diag
+        g1 = gcd(h1, w1)
+        k1 = w1 // g1
+        r1 = t1 % g1
+        j1 = (t1 - r1) // g1 * pow(h1 // g1, -1, k1) % k1
+        t2 = (t2 - j1 * h2) % w2
+        g2 = gcd(k1 * h2, w2)
+        k2 = w2 // g2
+        r2 = t2 % g2
+        m = (t2 - r2) // g2 * pow(k1 * h2 // g2, -1, k2) % k2
+        return (h1, h2, w1, w2, r1, r2), k1 * k2, j1 + m * k1
+    l1, l2, l3, t, h = diag
+    w = _twist_modulus(l1, l2, l3)
+    g = gcd(h, w)
+    k = w // g
+    r = t % g
+    return (l1, l2, l3, h, r), k, (r - t) // g * pow(h // g, -1, k) % k
 
 
 def reflect(diag: CylinderDiagram) -> CylinderDiagram:
@@ -229,22 +291,24 @@ def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
 class Orbit:
     """A full SL(2,Z) orbit as the T- and S-permutations of its positions.
 
-    ``position`` numbers each normalised cylinder diagram of the orbit, and
-    ``t_perm`` and ``s_perm`` send a position to that of its image under T
-    and under S.  ``cycles`` lists the cusps in T-order, and they take
-    consecutive positions in that order, so ``widths`` (the cusp width at
-    each position) is read off them.  ``diagrams`` are the keys of
-    ``position``.  Canonical keys are made only on demand: :meth:`key` of
-    one diagram, and ``surfaces`` and ``base_key``, which key the whole
-    orbit on first use.
+    The cusps take consecutive positions, in T-order from their first
+    member: ``starts`` holds each cusp's first member and ``ks`` its width,
+    and ``t_perm`` and ``s_perm`` send a position to that of its image under
+    T and under S.  ``index``, ``cusp_widths`` and ``widths`` (the cusp
+    width at each position) read the widths alone, and :meth:`diagram`
+    gives the diagram at one position in closed form.  ``cycles`` (the
+    cusps in T-order), ``diagrams`` (in position order) and ``position``
+    (diagram → position) list every member and are built on first use.
+    Canonical keys are made only on demand: :meth:`key` of one diagram, and
+    ``surfaces`` and ``base_key``, which key the whole orbit on first use.
     """
 
-    def __init__(self, n: int, position: dict, t_perm: list, s_perm: list, cycles: list):
+    def __init__(self, n: int, starts: list, ks: list, t_perm: list, s_perm: list):
         self.n = n
-        self.position = position
+        self.starts = starts
+        self.ks = ks
         self.t_perm = t_perm
         self.s_perm = s_perm
-        self.cycles = cycles
         self._keys = {}  # diagram -> canonical key, filled by key()
 
     @property
@@ -253,19 +317,41 @@ class Orbit:
         return len(self.t_perm)
 
     @property
-    def diagrams(self):
-        """The orbit's surfaces as normalised cylinder diagrams, in position order."""
-        return self.position.keys()
-
-    @property
     def cusp_widths(self) -> list:
         """The T-cycle lengths, sorted."""
-        return sorted(len(cycle) for cycle in self.cycles)
+        return sorted(self.ks)
 
     @cached_property
     def widths(self) -> list:
         """The width of each position's cusp."""
-        return [len(cycle) for cycle in self.cycles for _ in cycle]
+        return list(chain.from_iterable(map(repeat, self.ks, self.ks)))
+
+    @cached_property
+    def _bases(self) -> list:
+        # each cusp's first position
+        return list(accumulate(self.ks[:-1], initial=0))
+
+    def diagram(self, p: int) -> CylinderDiagram:
+        """The normalised diagram at position ``p``."""
+        if not 0 <= p < self.index:
+            raise IndexError(f"position {p} is outside an orbit of {self.index}")
+        c = bisect_right(self._bases, p) - 1
+        return t_member(self.starts[c], p - self._bases[c])
+
+    @cached_property
+    def cycles(self) -> list:
+        """The cusps in position order, each in T-order from its first member."""
+        return list(map(t_cycle, self.starts))
+
+    @cached_property
+    def diagrams(self) -> list:
+        """The orbit's surfaces as normalised cylinder diagrams, in position order."""
+        return list(chain.from_iterable(self.cycles))
+
+    @cached_property
+    def position(self) -> dict:
+        """The position of each diagram."""
+        return dict(zip(self.diagrams, range(self.index)))
 
     def key(self, diag: CylinderDiagram) -> bytes:
         """The canonical key of the orbit's surface ``diag``."""
@@ -277,7 +363,7 @@ class Orbit:
     @cached_property
     def surfaces(self) -> tuple:
         """The canonical keys of the orbit, sorted."""
-        return tuple(sorted(map(self.key, self.position)))
+        return tuple(sorted(map(self.key, self.diagrams)))
 
     @cached_property
     def base_key(self) -> bytes:
@@ -293,9 +379,12 @@ def _reversed_cusp(base: int, e0: int, k: int) -> list:
 def orbit(o: Origami) -> Orbit:
     """Closure of {o} under T and S, on the positions of its cylinder diagrams.
 
-    Diagrams are numbered as they are found, a whole cusp (:func:`t_cycle`)
-    at a time, so T and T⁻¹ are index arithmetic.  The closure walks one
-    f-cycle a → b → c → a at a time, f = S∘T, with f³ = 1 because
+    Diagrams are numbered as they are found, a whole cusp at a time, so T
+    and T⁻¹ are index arithmetic.  No cusp is listed: the first member seen
+    of a cusp takes the next k positions, and any other member's position
+    is read off its :func:`cusp_coordinates`, base + (j − j0) mod k.  A
+    quarter turn builds its input alone (:func:`t_member`).  The closure
+    walks one f-cycle a → b → c → a at a time, f = S∘T, with f³ = 1 because
     (S·T)³ = I (see the module docstring).  Its S-edges are T(a)–b, T(b)–c
     and T(c)–a.  An edge already known is reused; since S is an involution,
     a known S(a) = T(c) gives c = T⁻¹(S(a)) and then a known S(c) gives
@@ -316,43 +405,49 @@ def orbit(o: Origami) -> Orbit:
     start = cylinder_decomposition(o)
     if lattice_index(start) != 1:
         raise ValueError("orbit computation expects a primitive surface")
-    position, order, cycles = {}, [], []
+    cusps = {}  # cusp id -> (first position, width, offset of the first member seen)
+    starts, ks = [], []  # each cusp's first member and width
+    cusp_at = []  # (first position, first member) of each position's cusp
     t_perm, t_inv, s_perm, r_perm = [], [], [], []
     closed = bytearray()  # positions whose f-cycle is walked
 
-    def number(diag: CylinderDiagram) -> int:
-        # diag's cusp at the next positions; returns the cusp width
-        base = len(order)
-        cycle = t_cycle(diag)
-        k = len(cycle)
-        cycles.append(cycle)
-        order.extend(cycle)
-        position.update(zip(cycle, range(base, base + k)))
+    def number(diag: CylinderDiagram, cusp: tuple, k: int, j: int) -> int:
+        # diag's cusp, with coordinates (cusp, k, j), at the next k positions; returns the first
+        base = len(t_perm)
+        cusps[cusp] = (base, k, j)
+        cusp_at.extend([(base, diag)] * k)
+        starts.append(diag)
+        ks.append(k)
         t_perm.extend([*range(base + 1, base + k), base])
         t_inv.extend([base + k - 1, *range(base, base + k - 1)])
         s_perm.extend([-1] * k)
         closed.extend(bytes(k))
-        return k
+        return base
 
     def find(diag: CylinderDiagram) -> int:
         # diag's position; on first sight its cusp and the mirror cusp are numbered
-        i = position.get(diag)
-        if i is None:
-            i = len(order)
-            k = number(diag)
-            mirror = reflect(diag)
-            e = position.get(mirror)
-            if e is None and number(mirror) == k:
-                r_perm.extend(_reversed_cusp(i + k, 0, k) + _reversed_cusp(i, 0, k))
-            elif e is not None and i <= e < i + k:
-                r_perm.extend(_reversed_cusp(i, e - i, k))
-            else:
-                raise RuntimeError(f"{mirror} does not start the mirror cusp of {diag}")
+        cusp, k, j = cusp_coordinates(diag)
+        seen = cusps.get(cusp)
+        if seen is not None:
+            base, k, j0 = seen
+            return base + (j - j0) % k
+        i = number(diag, cusp, k, j)
+        mirror = reflect(diag)
+        mirror_cusp, mirror_k, mirror_j = cusp_coordinates(mirror)
+        seen = cusps.get(mirror_cusp)
+        if seen is None and mirror_k == k:
+            number(mirror, mirror_cusp, k, mirror_j)
+            r_perm.extend(_reversed_cusp(i + k, 0, k) + _reversed_cusp(i, 0, k))
+        elif seen is not None and seen[0] == i:
+            r_perm.extend(_reversed_cusp(i, (mirror_j - j) % k, k))
+        else:
+            raise RuntimeError(f"{mirror} does not start the mirror cusp of {diag}")
         return i
 
     def turn(x: int) -> int:
         # S(x) by a quarter turn, recorded with its mirror S(ρx) = ρS(x)
-        y = find(quarter_turn(order[x]))
+        base, first = cusp_at[x]
+        y = find(quarter_turn(t_member(first, x - base)))
         rx, ry = r_perm[x], r_perm[y]
         s_perm[x], s_perm[y], s_perm[rx], s_perm[ry] = y, x, ry, rx
         return y
@@ -385,7 +480,7 @@ def orbit(o: Origami) -> Orbit:
         raise RuntimeError(f"the mirror of the orbit of {start} is another orbit")
     if list(map(s_perm.__getitem__, r_perm)) != list(map(r_perm.__getitem__, s_perm)):
         raise RuntimeError(f"the mirror does not commute with S on the orbit of {start}")
-    return Orbit(o.n, position, t_perm, s_perm, cycles)
+    return Orbit(o.n, starts, ks, t_perm, s_perm)
 
 
 def level(orb: Orbit) -> int:
@@ -478,9 +573,12 @@ def orbit_from_json(text: str) -> Orbit:
     order = [i for cycle in cycles for i in cycle]
     rank = _inverse(order)
     base_key = key_from_text(_field(doc, "base_key", str))
-    orb = Orbit(_field(doc, "n", int), {diagrams[i]: p for p, i in enumerate(order)},
-                [rank[t_next[i]] for i in order], [rank[s_next[i]] for i in order],
-                [[diagrams[i] for i in cycle] for cycle in cycles])
+    orb = Orbit(_field(doc, "n", int), [diagrams[cycle[0]] for cycle in cycles],
+                [len(cycle) for cycle in cycles],
+                [rank[t_next[i]] for i in order], [rank[s_next[i]] for i in order])
+    # the Orbit regenerates each cusp from its first member by the shear
+    if orb.position != {diagrams[i]: p for p, i in enumerate(order)}:
+        raise ValueError("T-edges disagree with the shear of the surfaces")
     if orb.surfaces[:1] != (base_key,):
         raise ValueError("base key is not the orbit's canonical representative")
     if len(_key_images(base_key)[0]) != orb.n:

@@ -336,6 +336,20 @@ class TestKeysComputed:
         # memberships verify_certificate checks
         assert len(calls) <= len(carriers) + 4
 
+    def test_noncong_lists_no_cusp(self, capsys, monkeypatch):
+        # the certificate reads widths and single positions: no view that
+        # lists every member of the orbit is built
+        made = []
+
+        def keeping(o):
+            made.append(sl2_orbit.orbit(o))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "orbit", keeping)
+        rc, _, _ = run(capsys, "--max-orbit-n", "29", "noncong", "B", "29")
+        assert rc == 0 and len(made) == 1
+        assert not {"cycles", "diagrams", "position"} & vars(made[0]).keys()
+
 
 class TestNoDiskWrites:
     COMMANDS = (["orbit", "L(2,4)"], ["noncong", "C", "4"], ["verify", "orbits", "6"])

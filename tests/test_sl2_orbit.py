@@ -32,6 +32,7 @@ from origami_h2.sl2_orbit import (
     apply_S,
     apply_S_inverse,
     apply_T,
+    cusp_coordinates,
     level,
     membership,
     orbit,
@@ -40,6 +41,7 @@ from origami_h2.sl2_orbit import (
     quarter_turn,
     reflect,
     t_cycle,
+    t_member,
     t_power,
     u_orbit_width,
     v_power,
@@ -169,6 +171,23 @@ class TestDiagramAction:
                 cycle.append(image)
             assert t_cycle(diag) == cycle, diag
         assert t_cycle(OneCylinder(1, 1, 1, 0, 1)) == [OneCylinder(1, 1, 1, 0, 1)]
+
+    def test_cusp_coordinates_invert_the_cusp(self):
+        # orbit() places a diagram by these alone: the cusp's id and width k,
+        # and the offset j from its base point, which steps by one with T;
+        # t_member builds one member, t_cycle all of them
+        members_of = {}
+        for diag in self.normalised(16):
+            cycle = t_cycle(diag)
+            cusp, k, j0 = cusp_coordinates(diag)
+            assert k == len(cycle) and 0 <= j0 < k, diag
+            for j, member in enumerate(cycle):
+                assert type(member) is type(diag), member
+                assert cusp_coordinates(member) == (cusp, k, (j0 + j) % k), member
+                assert t_member(diag, j) == member, (diag, j)
+            # one id per cusp, and distinct cusps get distinct ids
+            assert members_of.setdefault(cusp, set(cycle)) == set(cycle), diag
+        assert len(members_of) == 706
 
     def test_shear_inverse_is_the_decomposed_inverse_shear(self):
         # orbit() reads T⁻¹ of a diagram as its predecessor on the cusp
@@ -383,6 +402,19 @@ class TestOrbits:
             members = [d for cycle in orb.cycles for d in cycle]
             assert len(members) == orb.index and set(members) == set(orb.diagrams)
 
+    def test_views_agree_with_the_cusps(self):
+        # one fresh orbit: widths and single positions need no listed member,
+        # and the listing views come out in position order
+        orb = orbit(seed_surface("B", 11))
+        at = [orb.diagram(p) for p in range(orb.index)]
+        assert orb.widths == [k for k in orb.ks for _ in range(k)]
+        assert not {"cycles", "diagrams", "position"} & vars(orb).keys()
+        assert at == orb.diagrams == list(orb.position)
+        assert [(cycle[0], len(cycle)) for cycle in orb.cycles] == list(zip(orb.starts, orb.ks))
+        for p in (-1, orb.index):
+            with pytest.raises(IndexError):
+                orb.diagram(p)
+
     def test_n3_cusp_widths(self, named_orbit):
         assert named_orbit("A", 3).cusp_widths == [1, 2]
 
@@ -508,9 +540,10 @@ class TestOrbitAgainstAllTurns:
         assert 0 < len(calls) <= orb.index // 4
 
     def test_cusp_budget(self, monkeypatch):
-        # T comes from whole cusps, each generated once; no diagram is sheared.
-        # One reflect per first-seen cusp numbers its mirror too, and the
-        # mirrored S-edges leave 543 quarter turns (843 before the mirror).
+        # No cusp is listed and no diagram is sheared: positions come from
+        # cusp coordinates and T from index arithmetic.  One reflect per
+        # first-seen cusp numbers its mirror too, and the mirrored S-edges
+        # leave 543 quarter turns (843 before the mirror).
         calls = {name: [] for name in ("shear", "t_cycle", "quarter_turn", "reflect")}
         for module, name in ((oracles, "shear"), (sl2_orbit, "t_cycle"),
                              (sl2_orbit, "quarter_turn"), (sl2_orbit, "reflect")):
@@ -520,11 +553,12 @@ class TestOrbitAgainstAllTurns:
 
             monkeypatch.setattr(module, name, counting)
         orb = orbit(seed_surface("B", 29))
-        assert len(calls["shear"]) == 0
-        assert len(calls["t_cycle"]) == len(orb.cycles) == 199
+        made = {name: len(seen) for name, seen in calls.items()}
+        assert made["shear"] == made["t_cycle"] == 0
+        assert len(orb.cycles) == 199
         self_mirror = sum(reflect(cycle[0]) in cycle for cycle in orb.cycles)
-        assert 2 * len(calls["reflect"]) == len(orb.cycles) + self_mirror
-        assert len(calls["quarter_turn"]) == 543
+        assert 2 * made["reflect"] == len(orb.cycles) + self_mirror
+        assert made["quarter_turn"] == 543
 
 
 class TestOrbitJson:
@@ -628,6 +662,15 @@ class TestOrbitJson:
         doc = json.loads(orbit_to_json(named_orbit("A", 3)))
         doc["t_edges"] = doc["t_edges"][::-1]
         with pytest.raises(ValueError):
+            orbit_from_json(json.dumps(doc))
+
+    def test_rejects_cusps_walked_backwards(self, named_orbit):
+        # T-edges reversed on every cusp keep each cusp's members, width and
+        # least key, but are T⁻¹: the shear of the surfaces tells them apart
+        doc = json.loads(orbit_to_json(named_orbit("B", 7)))
+        doc["t_edges"] = list(origami_core._inverse(doc["t_edges"]))
+        assert doc["t_edges"] != json.loads(orbit_to_json(named_orbit("B", 7)))["t_edges"]
+        with pytest.raises(ValueError, match="T-edges disagree with the shear"):
             orbit_from_json(json.dumps(doc))
 
     def test_rejects_dropped_surface(self, named_orbit):
