@@ -268,16 +268,21 @@ def least_rotation(diag: OneCylinder) -> OneCylinder:
     Reading the top from the next cut moves the origin l1 to the right and
     l1 to the end.  The bottom, in reversed order, then starts at its l1
     arc, l2 + l3 past its old start, so (l1, l2, l3, t) ↦
-    (l2, l3, l1, t + (l2 + l3) − l1 ≡ t − 2·l1 mod w).  The three readings
-    are distinct tuples (2·l1 ≢ 0 mod w when l1 = l2 = l3).
+    (l2, l3, l1, t + (l2 + l3) − l1 ≡ t − 2·l1 mod w).  Unequal lengths
+    never tie, so their triples alone pick the least reading, and only that
+    one is built.  Equal lengths l read the twist t (mod 3l) as t, t + l and
+    t + 2l, so the least reading keeps it mod l.
     """
     l1, l2, l3, t, h = diag
+    if l1 == l2 == l3:
+        return OneCylinder(l1, l2, l3, t % l1, h)
     w = l1 + l2 + l3
-    return min(
-        diag,
-        OneCylinder(l2, l3, l1, (t - 2 * l1) % w, h),
-        OneCylinder(l3, l1, l2, (t - 2 * (l1 + l2)) % w, h),
-    )
+    second, third = (l2, l3, l1), (l3, l1, l2)
+    if second < third and second < (l1, l2, l3):
+        return OneCylinder(l2, l3, l1, (t - 2 * l1) % w, h)
+    if third < (l1, l2, l3):
+        return OneCylinder(l3, l1, l2, (t - 2 * (l1 + l2)) % w, h)
+    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +356,10 @@ def _one_cylinder_diagram(u, breaks, place, w) -> OneCylinder:
     # as position 0: the arcs between the cuts, in order from q, are
     # (l1, l2, l3), and the twist is where up(q) lands on the bottom row,
     # measured from the column under q, less l2 + l3 (≡ plus l1 mod w).
-    # The normal form is the least rotation of that reading (least_rotation):
-    # unequal lengths never tie, so their triples alone pick it.
+    # The normal form is the least rotation of that reading.
     p1, p2 = sorted([place[q] for q in breaks[1:]])
     a, h = _climb(u, place, u[breaks[0]])
-    l1, l2, l3 = p1, p2 - p1, w - p2
-    t = (place[a] + p1) % w
-    if l1 == l2 == l3:
-        return least_rotation(OneCylinder(l1, l2, l3, t, h))
-    second, third = (l2, l3, l1), (l3, l1, l2)
-    if second < (l1, l2, l3) and second < third:
-        return OneCylinder(l2, l3, l1, (t - 2 * l1) % w, h)
-    if third < (l1, l2, l3):
-        return OneCylinder(l3, l1, l2, (t - 2 * (l1 + l2)) % w, h)
-    return OneCylinder(l1, l2, l3, t, h)
+    return least_rotation(OneCylinder(p1, p2 - p1, w - p2, (place[a] + p1) % w, h))
 
 
 def _two_cylinder_diagram(u, breaks, place, wa, wb) -> TwoCylinder:

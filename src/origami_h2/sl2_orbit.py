@@ -186,38 +186,18 @@ def membership(o: Origami, m: MatrixZ) -> bool:
 def _twist_modulus(l1: int, l2: int, l3: int) -> int:
     """The modulus of a normalised one-cylinder twist: l for equal lengths l, else the width.
 
-    Equal lengths l read the twist as t, t + l and t + 2l (mod 3l), and the
-    least reading keeps it mod l; unequal lengths alone fix the least reading.
+    :func:`least_rotation` keeps an equal-length twist mod l, and unequal
+    lengths alone fix the least reading.
     """
     return l1 if l1 == l2 == l3 else l1 + l2 + l3
 
 
-def t_cycle(diag: CylinderDiagram) -> list:
-    """The T-cycle (cusp) of a normalised diagram, in T-order from ``diag``.
+def t_member(diag: CylinderDiagram, j: int) -> CylinderDiagram:
+    """T^j of a normalised diagram: ``t_cycle(diag)[j]`` for j below its width.
 
     T steps each twist by its height: t1 + h1 (mod w1) and t2 + h2 (mod w2)
-    for two cylinders, t − h (mod :func:`_twist_modulus`) for one.  The
-    cycle closes after the lcm of the steps' orders.  One period of each
-    twist sequence is made, repeated, and zipped into the members, which
-    are built as tuples at C level.
+    for two cylinders, t − h (mod :func:`_twist_modulus`) for one.
     """
-    if isinstance(diag, TwoCylinder):
-        h1, h2, w1, w2, t1, t2 = diag
-        k1, k2 = w1 // gcd(w1, h1), w2 // gcd(w2, h2)
-        k = lcm(k1, k2)
-        twists1 = list(map(w1.__rmod__, range(t1, t1 + k1 * h1, h1))) * (k // k1)
-        twists2 = list(map(w2.__rmod__, range(t2, t2 + k2 * h2, h2))) * (k // k2)
-        rows = zip(repeat(h1, k), repeat(h2), repeat(w1), repeat(w2), twists1, twists2)
-        return list(map(tuple.__new__, repeat(TwoCylinder), rows))
-    l1, l2, l3, t, h = diag
-    w = _twist_modulus(l1, l2, l3)
-    k = w // gcd(w, h)
-    rows = zip(repeat(l1, k), repeat(l2), repeat(l3), map(w.__rmod__, range(t, t - k * h, -h)), repeat(h))
-    return list(map(tuple.__new__, repeat(OneCylinder), rows))
-
-
-def t_member(diag: CylinderDiagram, j: int) -> CylinderDiagram:
-    """T^j of a normalised diagram, built alone: ``t_cycle(diag)[j]`` for j below its width."""
     if isinstance(diag, TwoCylinder):
         h1, h2, w1, w2, t1, t2 = diag
         return TwoCylinder(h1, h2, w1, w2, (t1 + j * h1) % w1, (t2 + j * h2) % w2)
@@ -225,10 +205,20 @@ def t_member(diag: CylinderDiagram, j: int) -> CylinderDiagram:
     return OneCylinder(l1, l2, l3, (t - j * h) % _twist_modulus(l1, l2, l3), h)
 
 
+def t_cycle(diag: CylinderDiagram) -> list:
+    """The T-cycle (cusp) of a normalised diagram, in T-order from ``diag``.
+
+    Its members are T^j of ``diag`` (:func:`t_member`) for j below the cusp
+    width (:func:`cusp_coordinates`).
+    """
+    k = cusp_coordinates(diag)[1]
+    return [t_member(diag, j) for j in range(k)]
+
+
 def cusp_coordinates(diag: CylinderDiagram) -> tuple:
     """(cusp id, width k, offset j) of a normalised diagram: ``diag`` is T^j of the cusp's base point.
 
-    The inverse of :func:`t_cycle`'s closed form.  A twist t stepping by h
+    The inverse of :func:`t_member`'s closed form.  A twist t stepping by h
     (mod w) keeps its class r = t mod g, g = gcd(h, w), and runs through
     that class in k = w/g steps, reaching t after j ≡ ((t − r)/g)·(h/g)⁻¹
     (mod k) steps from r.  Two cylinders: the narrow twist alone gives k1
