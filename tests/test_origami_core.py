@@ -1,5 +1,5 @@
 import random
-from itertools import compress, permutations, product
+from itertools import compress, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -283,15 +283,6 @@ class TestDecompositionOracles:
                 tall += isinstance(diag, OneCylinder) and diag.h > 1
                 imprimitive += not is_primitive(o)
         assert tall and imprimitive
-
-    def test_least_rotation_is_the_least_reading(self):
-        # the library builds only the chosen reading; here all three are
-        # built and the least taken, for every reduced twist
-        for l1, l2, l3 in product(range(1, 7), repeat=3):
-            w = l1 + l2 + l3
-            for t in range(w):
-                diag = OneCylinder(l1, l2, l3, t, 2)
-                assert origami_core.least_rotation(diag) == least_rotation(*diag), diag
 
     def test_errors_over_every_transitive_pair_up_to_5(self):
         # a trivial commutator is a flat torus; any other one that is not a
