@@ -12,10 +12,10 @@ normalised cylinder diagrams, which name H(2) surfaces completely.  On
 a diagram T is twist arithmetic: a two-cylinder diagram takes t1 + h1
 (mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h (mod w) and then
 its least rotation.  The T-cycles of an orbit are its cusps; the
-arithmetic gives each one whole (:func:`t_cycle`) or one member alone
-(:func:`t_member`), and inverted it gives a diagram's cusp, width and
-place on the cusp (:func:`cusp_coordinates`), so the orbit numbers its
-diagrams without listing any cusp.  S (:func:`quarter_turn`) decomposes
+arithmetic gives any member of one in closed form (:func:`t_member`), and
+inverted it gives a diagram's cusp, width and place on the cusp
+(:func:`cusp_coordinates`), so the orbit numbers its diagrams without
+listing any cusp.  S (:func:`quarter_turn`) decomposes
 the turned surface laid out from the diagram, without building it, and
 S² = −I fixes every H(2) surface (the hyperelliptic involution), so one
 quarter turn gives both S-edges of a pair.  With these matrices
@@ -193,7 +193,7 @@ def _twist_modulus(l1: int, l2: int, l3: int) -> int:
 
 
 def t_member(diag: CylinderDiagram, j: int) -> CylinderDiagram:
-    """T^j of a normalised diagram: ``t_cycle(diag)[j]`` for j below its width.
+    """T^j of a normalised diagram, in closed form.
 
     T steps each twist by its height: t1 + h1 (mod w1) and t2 + h2 (mod w2)
     for two cylinders, t − h (mod :func:`_twist_modulus`) for one.
@@ -203,16 +203,6 @@ def t_member(diag: CylinderDiagram, j: int) -> CylinderDiagram:
         return TwoCylinder(h1, h2, w1, w2, (t1 + j * h1) % w1, (t2 + j * h2) % w2)
     l1, l2, l3, t, h = diag
     return OneCylinder(l1, l2, l3, (t - j * h) % _twist_modulus(l1, l2, l3), h)
-
-
-def t_cycle(diag: CylinderDiagram) -> list:
-    """The T-cycle (cusp) of a normalised diagram, in T-order from ``diag``.
-
-    Its members are T^j of ``diag`` (:func:`t_member`) for j below the cusp
-    width (:func:`cusp_coordinates`).
-    """
-    k = cusp_coordinates(diag)[1]
-    return [t_member(diag, j) for j in range(k)]
 
 
 def cusp_coordinates(diag: CylinderDiagram) -> tuple:
@@ -286,10 +276,9 @@ class Orbit:
     and ``t_perm`` and ``s_perm`` send a position to that of its image under
     T and under S.  ``index``, ``cusp_widths`` and ``widths`` (the cusp
     width at each position) read the widths alone, and :meth:`diagram`
-    gives the diagram at one position in closed form.  ``cycles`` (the
-    cusps in T-order), ``diagrams`` (in position order) and ``position``
-    (diagram → position) list every member and are built on first use.
-    Canonical keys are made only on demand: :meth:`key` of one diagram, and
+    gives the diagram at one position in closed form.  ``diagrams`` lists
+    every member in position order and is built on first use.  Canonical
+    keys are made only on demand: :meth:`key` of one diagram, and
     ``surfaces`` and ``base_key``, which key the whole orbit on first use.
     """
 
@@ -299,7 +288,6 @@ class Orbit:
         self.ks = ks
         self.t_perm = t_perm
         self.s_perm = s_perm
-        self._keys = {}  # diagram -> canonical key, filled by key()
 
     @property
     def index(self) -> int:
@@ -329,26 +317,13 @@ class Orbit:
         return t_member(self.starts[c], p - self._bases[c])
 
     @cached_property
-    def cycles(self) -> list:
-        """The cusps in position order, each in T-order from its first member."""
-        return list(map(t_cycle, self.starts))
-
-    @cached_property
     def diagrams(self) -> list:
         """The orbit's surfaces as normalised cylinder diagrams, in position order."""
-        return list(chain.from_iterable(self.cycles))
-
-    @cached_property
-    def position(self) -> dict:
-        """The position of each diagram."""
-        return dict(zip(self.diagrams, range(self.index)))
+        return [t_member(d, j) for d, k in zip(self.starts, self.ks) for j in range(k)]
 
     def key(self, diag: CylinderDiagram) -> bytes:
         """The canonical key of the orbit's surface ``diag``."""
-        key = self._keys.get(diag)
-        if key is None:
-            key = self._keys[diag] = canonical_key(build_from_diagram(diag))
-        return key
+        return canonical_key(build_from_diagram(diag))
 
     @cached_property
     def surfaces(self) -> tuple:
@@ -478,9 +453,9 @@ def level(orb: Orbit) -> int:
     return lcm(*orb.cusp_widths)
 
 
-def _cusps(orb: Orbit) -> list:
-    """(least key on the T-cycle, width) of each cusp, sorted."""
-    return sorted((min(map(orb.key, cycle)), len(cycle)) for cycle in orb.cycles)
+def _cusps(orb: Orbit, keys: list) -> list:
+    """(least key on the T-cycle, width) of each cusp, sorted, from the key at each position."""
+    return sorted((min(keys[b:b + k]), k) for b, k in zip(orb._bases, orb.ks))
 
 
 def orbit_to_json(orb: Orbit) -> str:
@@ -496,11 +471,11 @@ def orbit_to_json(orb: Orbit) -> str:
     doc = {
         "schema_version": ORBIT_SCHEMA_VERSION,
         "n": orb.n,
-        "base_key": key_to_text(orb.base_key),
+        "base_key": key_to_text(keys[order[0]]),
         "surfaces": [key_to_text(keys[p]) for p in order],
         "t_edges": [rank[orb.t_perm[p]] for p in order],
         "s_edges": [rank[orb.s_perm[p]] for p in order],
-        "cusps": [{"rep": rank_of[k], "width": w} for k, w in _cusps(orb)],
+        "cusps": [{"rep": rank_of[k], "width": w} for k, w in _cusps(orb, keys)],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -525,8 +500,9 @@ def orbit_from_json(text: str) -> Orbit:
     Every surface text is checked once to be the canonical form of a valid
     surface; edges and cusp representatives must be plain in-range indices.
     The edges are carried over to the surfaces' cylinder diagrams, which
-    builds the same :class:`Orbit` as :func:`orbit`.  Any malformed document
-    raises ValueError.
+    builds the same :class:`Orbit` as :func:`orbit`, and must be the shear
+    and the quarter turn of those diagrams.  Any malformed document raises
+    ValueError.
     """
     try:
         doc = json.loads(text)
@@ -567,9 +543,13 @@ def orbit_from_json(text: str) -> Orbit:
                 [len(cycle) for cycle in cycles],
                 [rank[t_next[i]] for i in order], [rank[s_next[i]] for i in order])
     # the Orbit regenerates each cusp from its first member by the shear
-    if orb.position != {diagrams[i]: p for p, i in enumerate(order)}:
+    at = orb.diagrams
+    if at != [diagrams[i] for i in order]:
         raise ValueError("T-edges disagree with the shear of the surfaces")
-    if orb.surfaces[:1] != (base_key,):
+    if [at[p] for p in orb.s_perm] != list(map(quarter_turn, at)):
+        raise ValueError("S-edges disagree with the quarter turn of the surfaces")
+    keys = list(map(orb.key, at))
+    if min(keys, default=None) != base_key:
         raise ValueError("base key is not the orbit's canonical representative")
     if len(_key_images(base_key)[0]) != orb.n:
         raise ValueError("stored n disagrees with the keys")
@@ -578,6 +558,6 @@ def orbit_from_json(text: str) -> Orbit:
         if type(cusp) is not dict or type(cusp.get("width")) is not int:
             raise ValueError("malformed cusp entry")
         stored.append((surfaces[_index(cusp.get("rep"), size)], cusp["width"]))
-    if stored != _cusps(orb):
+    if stored != _cusps(orb, keys):
         raise ValueError("stored cusps disagree with the edge structure")
     return orb

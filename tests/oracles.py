@@ -7,11 +7,12 @@ with explicit sublattice enumeration, and the hyperelliptic involution found
 by constraint propagation, T stepped one shear at a time, and the orbit
 closed with a quarter turn for every S-pair.  Slow is fine here; different
 is the point.  The helpers at the end have no caller in the library: square
-relabelling, the commutator, the canonical representative and the text that
-``parse_diagram`` reads back.
+relabelling, the commutator, the canonical representative, the text that
+``parse_diagram`` reads back, and an orbit's cusps and positions listed from
+its diagrams.
 """
 
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial, prod
 from struct import pack
 
@@ -30,7 +31,7 @@ from origami_h2.origami_core import (
     least_rotation,
     origami_from_key,
 )
-from origami_h2.sl2_orbit import quarter_turn
+from origami_h2.sl2_orbit import cusp_coordinates, quarter_turn, t_member
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +384,9 @@ def involution_weierstrass_count(o: Origami) -> int:
 # ---------------------------------------------------------------------------
 # T and T⁻¹ one step at a time
 #
-# The library generates each cusp whole in closed form (``t_cycle``) and
-# reads T⁻¹ as a member's predecessor on it.  These step T once on a
-# diagram and T⁻¹ once on a surface.
+# The library reaches any member of a cusp in closed form (``t_member``)
+# and reads T⁻¹ as a position's predecessor on its cusp.  These step T once
+# on a diagram and T⁻¹ once on a surface.
 
 
 def shear(diag: CylinderDiagram) -> CylinderDiagram:
@@ -474,3 +475,19 @@ def format_diagram(diag: CylinderDiagram) -> str:
     if isinstance(diag, OneCylinder):
         return f"1cyl({diag.l1},{diag.l2},{diag.l3};{diag.t};{diag.h})"
     return f"2cyl({diag.h1},{diag.h2},{diag.w1},{diag.w2},{diag.t1},{diag.t2})"
+
+
+def t_cycle(diag: CylinderDiagram) -> list:
+    """The cusp of a normalised diagram, in T-order from ``diag``: T^j of it for j below its width."""
+    return [t_member(diag, j) for j in range(cusp_coordinates(diag)[1])]
+
+
+def cusps(orb) -> list:
+    """An orbit's cusps in position order, each a slice of ``orb.diagrams`` in T-order."""
+    at = orb.diagrams
+    return [at[b:b + k] for b, k in zip(accumulate(orb.ks, initial=0), orb.ks)]
+
+
+def positions(orb) -> dict:
+    """The position of each of an orbit's diagrams."""
+    return {d: p for p, d in enumerate(orb.diagrams)}

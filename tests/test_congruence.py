@@ -28,6 +28,7 @@ from origami_h2.congruence import (
     verify_certificate,
 )
 from origami_h2.sl2_orbit import level
+from oracles import cusps, positions
 
 
 class TestFactoredInteger:
@@ -241,9 +242,10 @@ class TestCertificates:
         orb = named_orbit(label, n)
         d = orb.index
         width = [0] * d
-        for cycle in orb.cycles:
+        position = positions(orb)
+        for cycle in cusps(orb):
             for diag in cycle:
-                width[orb.position[diag]] = len(cycle)
+                width[position[diag]] = len(cycle)
         ell = lcm(*width)
         carriers = {}
         for i, diag in enumerate(orb.diagrams):

@@ -43,6 +43,11 @@ def names_in(node) -> set:
     return names
 
 
+def attributes_in(node) -> set:
+    """Every attribute name accessed under ``node``."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def definitions(tree) -> list:
     """(name, node, owner) of every non-dunder name a module defines.
 
@@ -65,23 +70,28 @@ def definitions(tree) -> list:
 def unreached_definitions() -> list:
     """Definitions that nothing outside their own definition reaches.
 
-    A definition is reached when another statement of a package module names
-    it, when ``__init__`` exports it, or when the acceptance tests import it.
-    A class member is also reached from the other members of its class.
+    A top-level definition is reached when another statement of a package
+    module names it, when ``__init__`` exports it, or when the acceptance
+    tests import it.  A class member is reached only by an attribute access
+    outside its class or from the other members of its class, so a local
+    variable of the same name does not keep it alive.
     """
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     exported = names_in(trees.pop("__init__.py"))
     accepted = {alias.name for node in ast.parse(ACCEPTANCE.read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    statements = [(node, names_in(node)) for tree in trees.values() for node in tree.body]
+    statements = [(node, names_in(node), attributes_in(node))
+                  for tree in trees.values() for node in tree.body]
     unreached = []
     for module, tree in trees.items():
         for name, node, owner in definitions(tree):
-            outer = owner or node
-            named = any(name in names for other, names in statements if other is not outer)
-            if owner is not None:
-                named = named or any(name in names_in(m) for m in owner.body if m is not node)
-            if not (named or name in exported or name in accepted):
+            if owner is None:
+                reached = (any(name in names for other, names, _ in statements if other is not node)
+                           or name in exported or name in accepted)
+            else:
+                reached = (any(name in attrs for other, _, attrs in statements if other is not owner)
+                           or any(name in names_in(m) for m in owner.body if m is not node))
+            if not reached:
                 unreached.append(f"{module}:{owner.name + '.' if owner else ''}{name}")
     return unreached
 

@@ -40,14 +40,13 @@ from origami_h2.sl2_orbit import (
     orbit_to_json,
     quarter_turn,
     reflect,
-    t_cycle,
     t_member,
     t_power,
     u_orbit_width,
     v_power,
 )
 import oracles
-from oracles import all_turns_orbit, apply_T_inverse, relabel, shear
+from oracles import all_turns_orbit, apply_T_inverse, cusps, positions, relabel, shear, t_cycle
 from test_origami_core import all_one_cylinder_tuples, all_two_cylinder_tuples
 
 # the generators: horizontal shear, quarter turn and vertical shear
@@ -399,7 +398,7 @@ class TestOrbits:
             orb = named_orbit(label, n)
             assert sum(orb.cusp_widths) == orb.index
             assert all(level(orb) % width == 0 for width in orb.cusp_widths)
-            members = [d for cycle in orb.cycles for d in cycle]
+            members = [d for cycle in cusps(orb) for d in cycle]
             assert len(members) == orb.index and set(members) == set(orb.diagrams)
 
     def test_views_agree_with_the_cusps(self):
@@ -408,9 +407,9 @@ class TestOrbits:
         orb = orbit(seed_surface("B", 11))
         at = [orb.diagram(p) for p in range(orb.index)]
         assert orb.widths == [k for k in orb.ks for _ in range(k)]
-        assert not {"cycles", "diagrams", "position"} & vars(orb).keys()
-        assert at == orb.diagrams == list(orb.position)
-        assert [(cycle[0], len(cycle)) for cycle in orb.cycles] == list(zip(orb.starts, orb.ks))
+        assert "diagrams" not in vars(orb)
+        assert at == orb.diagrams == list(positions(orb))
+        assert [(cycle[0], len(cycle)) for cycle in cusps(orb)] == list(zip(orb.starts, orb.ks))
         for p in (-1, orb.index):
             with pytest.raises(IndexError):
                 orb.diagram(p)
@@ -422,9 +421,10 @@ class TestOrbits:
     def test_orbit_closed_under_generators(self, named_orbit, label, n):
         orb = named_orbit(label, n)
         at = list(orb.diagrams)
+        position = positions(orb)
         for i, d in enumerate(at):
             o = build_from_diagram(d)
-            assert o.n == orb.n and cylinder_decomposition(o) == d and orb.position[d] == i
+            assert o.n == orb.n and cylinder_decomposition(o) == d and position[d] == i
             assert canonical_key(apply_T(o)) == orb.key(at[orb.t_perm[i]])
             assert canonical_key(apply_S(o)) == orb.key(at[orb.s_perm[i]])
         # the diagrams are distinct surfaces and both edge maps are bijections of them
@@ -432,16 +432,16 @@ class TestOrbits:
         for perm in (orb.t_perm, orb.s_perm):
             assert sorted(perm) == list(range(orb.index))
         # each cycle's first diagram returns after exactly its width of T-steps
-        for cycle in orb.cycles:
-            first = orb.position[cycle[0]]
+        for cycle in cusps(orb):
+            first = position[cycle[0]]
             cur = orb.t_perm[first]
             steps = 1
             while cur != first:
                 cur = orb.t_perm[cur]
                 steps += 1
             assert steps == len(cycle)
-            assert all(orb.widths[orb.position[d]] == steps for d in cycle)
-        assert sum(len(cycle) for cycle in orb.cycles) == orb.index
+            assert all(orb.widths[position[d]] == steps for d in cycle)
+        assert sum(len(cycle) for cycle in cusps(orb)) == orb.index
         assert origami_from_key(orb.base_key).n == orb.n
 
     def test_orbit_rejects_imprimitive(self):
@@ -456,8 +456,9 @@ class TestOrbits:
 def all_turns_perms(orb, o) -> tuple:
     """``all_turns_orbit(o)`` as (t_perm, s_perm) over the positions of ``orb``."""
     t_next, s_next = all_turns_orbit(o)
-    assert t_next.keys() == s_next.keys() == orb.position.keys()
-    return [orb.position[t_next[d]] for d in orb.diagrams], [orb.position[s_next[d]] for d in orb.diagrams]
+    position = positions(orb)
+    assert t_next.keys() == s_next.keys() == position.keys()
+    return [position[t_next[d]] for d in orb.diagrams], [position[s_next[d]] for d in orb.diagrams]
 
 
 class TestOrbitAgainstAllTurns:
@@ -486,11 +487,11 @@ class TestOrbitAgainstAllTurns:
         # return the twin's diagrams as part of the orbit
         twin = named_orbit("B", n)
         free = {}
-        for cycle in twin.cycles:
+        for cycle in cusps(twin):
             free.setdefault(len(cycle), []).append(cycle[0])
 
         def into_twin(diag):
-            return (free.get(len(t_cycle(diag))) or [twin.cycles[0][0]]).pop()
+            return (free.get(len(t_cycle(diag))) or [twin.starts[0]]).pop()
 
         monkeypatch.setattr(sl2_orbit, "reflect", into_twin)
         with pytest.raises(RuntimeError):
@@ -499,7 +500,7 @@ class TestOrbitAgainstAllTurns:
     def test_unreached_mirror_cusp_raises(self, monkeypatch, named_orbit):
         # A3's two cusps (widths 1 and 2) sent onto B9's cusps of those widths:
         # every mirror cusp is numbered but the closure never reaches it
-        twin = {len(cycle): cycle[0] for cycle in named_orbit("B", 9).cycles}
+        twin = {len(cycle): cycle[0] for cycle in cusps(named_orbit("B", 9))}
         assert sorted(named_orbit("A", 3).cusp_widths) == [1, 2]
         monkeypatch.setattr(sl2_orbit, "reflect", lambda diag: twin[len(t_cycle(diag))])
         with pytest.raises(RuntimeError, match="is another orbit"):
@@ -512,7 +513,7 @@ class TestOrbitAgainstAllTurns:
         # 303 diagrams where the orbit has 225
         members = set(named_orbit("A", 11).diagrams)
         twin = {}
-        for cycle in named_orbit("B", 11).cycles:
+        for cycle in cusps(named_orbit("B", 11)):
             twin.setdefault(len(cycle), cycle[0])
         real = sl2_orbit.reflect
 
@@ -541,24 +542,25 @@ class TestOrbitAgainstAllTurns:
 
     def test_cusp_budget(self, monkeypatch):
         # No cusp is listed and no diagram is sheared: positions come from
-        # cusp coordinates and T from index arithmetic.  One reflect per
+        # cusp coordinates and T from index arithmetic, and the one member
+        # built in closed form is each quarter turn's input.  One reflect per
         # first-seen cusp numbers its mirror too, and the mirrored S-edges
         # leave 543 quarter turns (843 before the mirror).
-        calls = {name: [] for name in ("shear", "t_cycle", "quarter_turn", "reflect")}
-        for module, name in ((oracles, "shear"), (sl2_orbit, "t_cycle"),
+        calls = {name: [] for name in ("shear", "t_member", "quarter_turn", "reflect")}
+        for module, name in ((oracles, "shear"), (sl2_orbit, "t_member"),
                              (sl2_orbit, "quarter_turn"), (sl2_orbit, "reflect")):
-            def counting(diag, real=getattr(module, name), seen=calls[name]):
-                seen.append(diag)
-                return real(diag)
+            def counting(*args, real=getattr(module, name), seen=calls[name]):
+                seen.append(args)
+                return real(*args)
 
             monkeypatch.setattr(module, name, counting)
         orb = orbit(seed_surface("B", 29))
         made = {name: len(seen) for name, seen in calls.items()}
-        assert made["shear"] == made["t_cycle"] == 0
-        assert len(orb.cycles) == 199
-        self_mirror = sum(reflect(cycle[0]) in cycle for cycle in orb.cycles)
-        assert 2 * made["reflect"] == len(orb.cycles) + self_mirror
-        assert made["quarter_turn"] == 543
+        assert made["shear"] == 0
+        assert made["t_member"] == made["quarter_turn"] == 543
+        assert len(orb.ks) == 199
+        self_mirror = sum(reflect(cycle[0]) in cycle for cycle in cusps(orb))
+        assert 2 * made["reflect"] == len(orb.ks) + self_mirror
 
 
 class TestOrbitJson:
@@ -567,16 +569,17 @@ class TestOrbitJson:
         text = orbit_to_json(orb)
         back = orbit_from_json(text)
         # the reader numbers the cusps in its own order: compare diagram by diagram
-        assert back.position.keys() == orb.position.keys()
+        position, back_position = positions(orb), positions(back)
+        assert back_position.keys() == position.keys()
         at, back_at = list(orb.diagrams), list(back.diagrams)
-        for d, i in orb.position.items():
-            j = back.position[d]
+        for d, i in position.items():
+            j = back_position[d]
             assert back_at[back.t_perm[j]] == at[orb.t_perm[i]]
             assert back_at[back.s_perm[j]] == at[orb.s_perm[i]]
             assert back.widths[j] == orb.widths[i]
         assert back.surfaces == orb.surfaces
-        assert sorted(min(map(back.key, c)) for c in back.cycles) == sorted(
-            min(map(orb.key, c)) for c in orb.cycles
+        assert sorted(min(map(back.key, c)) for c in cusps(back)) == sorted(
+            min(map(orb.key, c)) for c in cusps(orb)
         )
         assert orbit_to_json(back) == text
 
@@ -610,8 +613,8 @@ class TestOrbitJson:
             p = position_of[key]
             assert orb.surfaces[doc["t_edges"][i]] == orb.key(at[orb.t_perm[p]])
             assert orb.surfaces[doc["s_edges"][i]] == orb.key(at[orb.s_perm[p]])
-        cusps = sorted((min(map(orb.key, c)), len(c)) for c in orb.cycles)
-        assert [(orb.surfaces[c["rep"]], c["width"]) for c in doc["cusps"]] == cusps
+        least = sorted((min(map(orb.key, c)), len(c)) for c in cusps(orb))
+        assert [(orb.surfaces[c["rep"]], c["width"]) for c in doc["cusps"]] == least
 
     @pytest.mark.parametrize(
         "bad",
@@ -662,6 +665,13 @@ class TestOrbitJson:
         doc = json.loads(orbit_to_json(named_orbit("A", 3)))
         doc["t_edges"] = doc["t_edges"][::-1]
         with pytest.raises(ValueError):
+            orbit_from_json(json.dumps(doc))
+        # two S-edges swapped: still a permutation, no longer S (not even an
+        # involution), and the T-edges and cusps are untouched
+        doc = json.loads(orbit_to_json(named_orbit("B", 7)))
+        s_edges = doc["s_edges"]
+        s_edges[0], s_edges[1] = s_edges[1], s_edges[0]
+        with pytest.raises(ValueError, match="S-edges disagree"):
             orbit_from_json(json.dumps(doc))
 
     def test_rejects_cusps_walked_backwards(self, named_orbit):
