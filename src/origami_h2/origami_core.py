@@ -317,6 +317,17 @@ def _decompose(r, u, corners) -> CylinderDiagram:
     takes places [0, w), the second [w, w + w′).  The rest is read off by
     climbing single columns from the bottom squares u(q) to the next top
     row, so the cost is the top rows' length plus the heights.
+
+    One cylinder: the first break q is position 0, the arcs between the
+    cuts from q are (l1, l2, l3), and the twist is where u(q) lands on the
+    bottom row, measured from the column under q, less l2 + l3 (≡ plus l1
+    mod w); the normal form is the least rotation of that reading.  Two
+    cylinders: the narrow top row holds one break q1, and u(q1) is the wide
+    bottom row's position 0.  Of the wide top row's two breaks, the one
+    whose up-image climbs into the narrow cylinder, q2, lands on the narrow
+    bottom row's position 0.  t1 and t2 are the positions of q1 and q2
+    counted from the top of the column climbed from their cylinder's
+    position 0: place differences within one row.
     """
     n = len(r)
     breaks = [r[y] for y in corners]
@@ -332,47 +343,26 @@ def _decompose(r, u, corners) -> CylinderDiagram:
                 x = r[x]
             ends.append(k)
     if len(ends) == 1:
-        diag = _one_cylinder_diagram(u, breaks, place, k)
-    elif len(ends) == 2:
-        diag = _two_cylinder_diagram(u, breaks, place, ends[0], k - ends[0])
-    else:
+        p1, p2 = place[breaks[1]], place[breaks[2]]
+        if p2 < p1:
+            p1, p2 = p2, p1
+        x = u[breaks[0]]
+        for h in range(1, n + 1):
+            if place[x] >= 0:
+                break
+            x = u[x]
+        else:
+            raise MalformedSurfaceError("rigid row gluings form a cycle")
+        if k * h != n:
+            raise MalformedSurfaceError("row gluing structure is inconsistent")
+        return least_rotation(OneCylinder(p1, p2 - p1, k - p2, (place[x] + p1) % k, h))
+    if len(ends) != 2:
         raise MalformedSurfaceError(f"{len(ends)} cylinders; H(2) allows only 1 or 2")
-    if diag.n != n:
-        raise MalformedSurfaceError("row gluing structure is inconsistent")
-    return diag
-
-
-def _climb(u, place, x) -> tuple:
-    """(first top-row square at or above x, number of rows from x up to it)."""
-    for h in range(1, len(u) + 1):
-        if place[x] >= 0:
-            return x, h
-        x = u[x]
-    raise MalformedSurfaceError("rigid row gluings form a cycle")
-
-
-def _one_cylinder_diagram(u, breaks, place, w) -> OneCylinder:
-    # The top row is walked from q = breaks[0], so place[q] == 0 and q serves
-    # as position 0: the arcs between the cuts, in order from q, are
-    # (l1, l2, l3), and the twist is where up(q) lands on the bottom row,
-    # measured from the column under q, less l2 + l3 (≡ plus l1 mod w).
-    # The normal form is the least rotation of that reading.
-    p1, p2 = sorted([place[q] for q in breaks[1:]])
-    a, h = _climb(u, place, u[breaks[0]])
-    return least_rotation(OneCylinder(p1, p2 - p1, w - p2, (place[a] + p1) % w, h))
-
-
-def _two_cylinder_diagram(u, breaks, place, wa, wb) -> TwoCylinder:
-    # The narrow top row holds one break q1, and up(q1) is the wide bottom
-    # row's position 0.  Of the wide top row's two breaks, the one whose
-    # up-image climbs into the narrow cylinder, q2, lands on the narrow bottom
-    # row's position 0.  t1 and t2 are the positions of q1 and q2 counted from
-    # the top of the column climbed from their cylinder's position 0: place
-    # differences within one row.  The narrow row holds the places [lo, hi).
-    if wa == wb:
+    wa = ends[0]
+    if 2 * wa == k:
         raise MalformedSurfaceError("two cylinders of equal width cannot occur in H(2)")
-    w1, w2 = min(wa, wb), max(wa, wb)
-    lo, hi = (0, wa) if wa < wb else (wa, wa + wb)
+    # the narrow row holds the places [lo, hi)
+    w1, w2, lo, hi = (wa, k - wa, 0, wa) if 2 * wa < k else (k - wa, wa, wa, k)
     narrow_breaks = [q for q in breaks if lo <= place[q] < hi]
     if len(narrow_breaks) != 1:
         raise MalformedSurfaceError("the narrow cylinder's top must hold one corner")
@@ -385,7 +375,18 @@ def _two_cylinder_diagram(u, breaks, place, wa, wb) -> TwoCylinder:
                 break
     else:
         raise MalformedSurfaceError("the wide cylinder does not glue into the narrow one")
+    if h1 * w1 + h2 * w2 != n:
+        raise MalformedSurfaceError("row gluing structure is inconsistent")
     return TwoCylinder(h1, h2, w1, w2, (place[q1] - place[a1]) % w1, (place[q2] - place[a2]) % w2)
+
+
+def _climb(u, place, x) -> tuple:
+    """(first top-row square at or above x, number of rows from x up to it)."""
+    for h in range(1, len(u) + 1):
+        if place[x] >= 0:
+            return x, h
+        x = u[x]
+    raise MalformedSurfaceError("rigid row gluings form a cycle")
 
 
 # ---------------------------------------------------------------------------

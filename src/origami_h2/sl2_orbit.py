@@ -28,11 +28,11 @@ surfaces it sends (right, up) to (right, up⁻¹) (:func:`reflect`).  From
 ρTρ = T⁻¹ and ρSρ = S⁻¹ = −S, with −I acting trivially, T(ρx) = ρT⁻¹(x)
 and S(ρx) = ρS(x): ρ maps each cusp onto a cusp read in reverse T-order,
 and each S-edge x–y onto the S-edge ρx–ρy.  Every quarter turn therefore
-also gives the S-edges of its mirror pair, and the orbit makes about
-0.13 quarter turns per surface.  The cusp width is the T-cycle length,
-and the lcm of the widths is the level of the stabiliser.
-An arbitrary unimodular matrix acts through its Euclidean factorisation
-into a word in T and S.
+also gives the S-edges of its mirror pair, and the orbit, which turns only
+when nothing is left to infer, makes about 0.1 quarter turns per surface.
+The cusp width is the T-cycle length, and the lcm of the widths is the
+level of the stabiliser.  An arbitrary unimodular matrix acts through its
+Euclidean factorisation into a word in T and S.
 """
 
 from __future__ import annotations
@@ -354,7 +354,10 @@ def orbit(o: Origami) -> Orbit:
     and T(c)–a.  An edge already known is reused; since S is an involution,
     a known S(a) = T(c) gives c = T⁻¹(S(a)) and then a known S(c) gives
     b = T⁻¹(S(c)).  Only a still missing b or c costs a quarter turn, and
-    T(c)–a is never turned: f(c) = a.  A fixed point of f is the cycle
+    T(c)–a is never turned: f(c) = a.  An f-cycle that needs a turn waits
+    on a second stack until no other is left, as deductions come before
+    definitions in coset enumeration (Felsch), so the turns made meanwhile
+    may give its edges for free.  A fixed point of f is the cycle
     a = b = c.  The T-images of the cycle are closed next, so the forward
     closure is the full group orbit.
 
@@ -417,9 +420,10 @@ def orbit(o: Origami) -> Orbit:
         s_perm[x], s_perm[y], s_perm[rx], s_perm[ry] = y, x, ry, rx
         return y
 
-    todo = [find(start)]
-    while todo:
-        a = todo.pop()
+    todo, later = [find(start)], []  # later: f-cycles that wait for a quarter turn
+    while todo or later:
+        turning = not todo
+        a = (todo or later).pop()
         if closed[a]:
             continue
         ta = t_perm[a]
@@ -428,17 +432,20 @@ def orbit(o: Origami) -> Orbit:
         c = -1 if sa < 0 else t_inv[sa]
         if b < 0:
             sc = -1 if c < 0 else s_perm[c]
+            if sc < 0 and not turning:
+                later.append(a)
+                continue
             b = turn(ta) if sc < 0 else t_inv[sc]
-            s_perm[ta] = b
-            s_perm[b] = ta
+            s_perm[ta], s_perm[b] = b, ta
         tb = t_perm[b]
         if c < 0:
+            if s_perm[tb] < 0 and not turning:
+                later.append(a)
+                continue
             c = turn(tb) if s_perm[tb] < 0 else s_perm[tb]
-        s_perm[tb] = c
-        s_perm[c] = tb
+        s_perm[tb], s_perm[c] = c, tb
         tc = t_perm[c]
-        s_perm[tc] = a
-        s_perm[a] = tc
+        s_perm[tc], s_perm[a] = a, tc
         closed[a] = closed[b] = closed[c] = 1
         todo += (ta, tb, tc)
     if 0 in closed:

@@ -241,8 +241,10 @@ class TestDecomposition:
             ((1, 0, 3, 2), (0, 1, 2, 3), "equal width"),
             ((1, 0, 3, 4, 2), (0, 1, 2, 3, 4), "must hold one corner"),
             ((0, 2, 1), (0, 1, 2), "does not glue into the narrow one"),
+            ((1, 2, 0, 3), (0, 1, 2, 3), "row gluing structure is inconsistent"),
         ],
-        ids=["three-rows", "equal-widths", "narrow-two-breaks", "no-narrow-gluing"],
+        ids=["three-rows", "equal-widths", "narrow-two-breaks", "no-narrow-gluing",
+             "one-row-short"],
     )
     def test_corners_from_outside_the_scan_raise(self, r, u, match):
         # _decompose trusts its caller's corners (quarter_turn passes the
