@@ -29,7 +29,6 @@ from .enumeration import (
     classify,
     count_primitive,
     enumerate_diagrams,
-    enumerate_primitive,
     total_count_with_imprimitive,
     verify_counts,
 )

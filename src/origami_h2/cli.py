@@ -73,6 +73,11 @@ def seed_surface(label: str, n: int) -> Origami:
 # subcommands
 
 
+def _print_doc(**fields) -> None:
+    """Print one JSON answer, stamped with the summary schema version."""
+    print(json.dumps({"schema_version": SUMMARY_SCHEMA_VERSION, **fields}, sort_keys=True, indent=2))
+
+
 def cmd_counts(args: argparse.Namespace) -> int:
     if args.n_min < 3 or args.n_min > args.n_max:
         print(f"invalid range [{args.n_min}, {args.n_max}]: need 3 <= n_min <= n_max", file=sys.stderr)
@@ -82,11 +87,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     reports = verify_counts(args.n_min, args.n_max)
     if args.format == "json":
-        doc = {
-            "schema_version": SUMMARY_SCHEMA_VERSION,
-            "reports": [{**r._asdict(), "match": r.match} for r in reports],
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _print_doc(reports=[{**r._asdict(), "match": r.match} for r in reports])
     else:
         print(COUNTS_CSV_HEADER)
         for r in reports:
@@ -116,15 +117,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         print("surface is not a primitive H(2) origami", file=sys.stderr)
         return EXIT_BAD_SURFACE
     orb = orbit(build_from_diagram(diag))
-    summary = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "n": orb.n,
-        "size": orb.index,
-        "cusp_widths": orb.cusp_widths,
-        "level": level(orb),
-        "invariant": weierstrass_count(diag) if orb.n % 2 else None,
-    }
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    invariant = weierstrass_count(diag) if orb.n % 2 else None
+    _print_doc(n=orb.n, size=orb.index, cusp_widths=orb.cusp_widths, level=level(orb), invariant=invariant)
     return EXIT_OK
 
 
@@ -143,20 +137,11 @@ def cmd_noncong(args: argparse.Namespace) -> int:
     if cert is None:
         print("inconclusive")
         return EXIT_INCONCLUSIVE
-    doc = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "n": args.n,
-        "orbit_label": args.label,
-        "surface_key": key_to_text(cert.surface),
-        "k": cert.k,
-        "k_prime": cert.k_prime,
-        "d": cert.d,
-        "level": cert.level,
-        "m": cert.m,
-        "delta": cert.delta,
-        "verdict": "noncongruence",
-    }
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    _print_doc(
+        n=args.n, orbit_label=args.label, surface_key=key_to_text(cert.surface),
+        k=cert.k, k_prime=cert.k_prime, d=cert.d, level=cert.level, m=cert.m, delta=cert.delta,
+        verdict="noncongruence",
+    )
     return EXIT_OK
 
 
@@ -172,14 +157,7 @@ def cmd_badcases(args: argparse.Namespace) -> int:
             raise AssertionError(f"bad-case row n={n} no longer certifies")
         rows.append((n, str(factorize(d)), str(factorize(witness.delta))))
     if args.format == "json":
-        doc = {
-            "schema_version": SUMMARY_SCHEMA_VERSION,
-            "rows": [
-                {"n": n, "d_factored": df, "delta_factored": dltf}
-                for n, df, dltf in rows
-            ],
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _print_doc(rows=[{"n": n, "d_factored": df, "delta_factored": dltf} for n, df, dltf in rows])
     else:
         print("n,d_factored,delta_factored")
         for n, df, dltf in rows:

@@ -17,8 +17,7 @@ every candidate's laid-out permutations, with no surface built: three
 corners, a decomposition that gives back the enumerated tuple (one-cylinder
 tuples are kept only as their least rotation, which is what the
 decomposition returns) and lattice index 1.  The census is that set of
-diagrams (:func:`enumerate_diagrams`); :func:`enumerate_primitive` keys the
-same sweep for output and tests.
+diagrams (:func:`enumerate_diagrams`).
 
 Counting is done in the same coordinates: per two-cylinder shape the number
 of primitive twist pairs is w1·w2·φ(g)/g with g = gcd(w1,w2), and the odd-n
@@ -41,7 +40,6 @@ from .origami_core import (
     TwoCylinder,
     _corners,
     _decompose,
-    _key,
     _perms,
     lattice_index,
     least_rotation,
@@ -116,8 +114,8 @@ def _candidates(n: int) -> Iterator[CylinderDiagram]:
                 yield diag
 
 
-def _sweep(n: int) -> Iterator[tuple]:
-    """(diag, right, up, corners) per candidate, checked on its laid-out permutations."""
+def _sweep(n: int) -> Iterator[CylinderDiagram]:
+    """Each candidate diagram, once checked on its laid-out permutations."""
     if n < 3:
         raise ValueError("H(2) needs at least 3 squares")
     for diag in _candidates(n):
@@ -129,17 +127,12 @@ def _sweep(n: int) -> Iterator[tuple]:
         index = lattice_index(found)
         if found != diag or index != 1:
             raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {index}")
-        yield diag, r, u, corners
+        yield diag
 
 
 def enumerate_diagrams(n: int) -> set:
     """The normalised cylinder diagram of every primitive n-square H(2) origami."""
-    return {diag for diag, _, _, _ in _sweep(n)}
-
-
-def enumerate_primitive(n: int) -> set:
-    """Canonical keys of every primitive n-square H(2) origami."""
-    return {_key(r, u, corners) for _, r, u, corners in _sweep(n)}
+    return set(_sweep(n))
 
 
 def _primitive_twist_pairs(h1: int, h2: int, w1: int, w2: int) -> int:
@@ -238,16 +231,16 @@ def classify(n: int) -> CountReport:
 def verify_counts(n_min: int, n_max: int) -> list:
     """Enumerate every n in the range and compare against the formulas.
 
-    Totals count the checked diagrams of :func:`enumerate_diagrams`, with no
-    key built; odd n ≥ 5 additionally get the invariant split (computed in
-    coordinates, so a disagreement between the two pipelines also shows up
-    as a failed match).
+    Totals count the checked diagrams of the census sweep, with no key
+    built and no diagram kept; odd n ≥ 5 additionally get the invariant
+    split (computed in coordinates, so a disagreement between the two
+    pipelines also shows up as a failed match).
     """
     if not 3 <= n_min <= n_max:
         raise ValueError(f"invalid range [{n_min}, {n_max}]")
     reports = []
     for n in range(n_min, n_max + 1):
-        total = len(enumerate_diagrams(n))
+        total = sum(1 for _ in _sweep(n))
         if n >= 5 and n % 2:
             report = classify(n)._replace(total=total)
         else:

@@ -4,14 +4,20 @@ import json
 import pytest
 
 from origami_h2.cli import seed_surface
-from origami_h2.enumeration import enumerate_primitive
+from origami_h2.enumeration import enumerate_diagrams
+from origami_h2.origami_core import build_from_diagram, canonical_key
 from origami_h2.sl2_orbit import orbit
 
 
 @pytest.fixture(scope="session")
 def enum_keys():
-    """Memoised enumerate_primitive — several suites sweep the same ranges."""
-    return functools.lru_cache(maxsize=None)(enumerate_primitive)
+    """Memoised canonical keys of the census — several suites sweep the same ranges."""
+
+    @functools.lru_cache(maxsize=None)
+    def keys(n: int) -> set:
+        return {canonical_key(build_from_diagram(d)) for d in enumerate_diagrams(n)}
+
+    return keys
 
 
 @pytest.fixture(scope="session")

@@ -30,8 +30,8 @@ def run(capsys, *argv):
 
 
 class TestCounts:
-    def test_csv(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "counts", "3", "5")
+    def test_csv(self, capsys):
+        rc, out, _ = run(capsys, "counts", "3", "5")
         assert rc == 0
         assert out.splitlines() == [
             COUNTS_HEADER,
@@ -40,10 +40,8 @@ class TestCounts:
             "5,27,27,18,18,9,9,true",
         ]
 
-    def test_json(self, capsys, tmp_path):
-        rc, out, _ = run(
-            capsys, "--cache-dir", str(tmp_path), "--format", "json", "counts", "4", "6"
-        )
+    def test_json(self, capsys):
+        rc, out, _ = run(capsys, "--format", "json", "counts", "4", "6")
         assert rc == 0
         doc = json.loads(out)
         assert doc["schema_version"] == 1
@@ -55,25 +53,25 @@ class TestCounts:
         assert all(r["match"] is True for r in doc["reports"])
 
     @pytest.mark.parametrize("lo,hi", [("2", "5"), ("5", "4")])
-    def test_bad_range(self, capsys, tmp_path, lo, hi):
-        rc, out, err = run(capsys, "--cache-dir", str(tmp_path), "counts", lo, hi)
+    def test_bad_range(self, capsys, lo, hi):
+        rc, out, err = run(capsys, "counts", lo, hi)
         assert rc == 2
         assert out == ""
         assert "invalid range" in err
 
-    def test_rejects_n_above_limit(self, capsys, tmp_path, monkeypatch):
+    def test_rejects_n_above_limit(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError(f"enumerated {args} despite the size limit")
 
         monkeypatch.setattr(cli, "verify_counts", refuse)
-        rc, out, err = run(capsys, "--cache-dir", str(tmp_path), "counts", "3", "101")
+        rc, out, err = run(capsys, "counts", "3", "101")
         assert rc == 2
         assert out == "" and "n_max = 101 exceeds the census limit 100" in err
 
 
 class TestOrbit:
-    def test_summary_n3(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,2)")
+    def test_summary_n3(self, capsys):
+        rc, out, _ = run(capsys, "orbit", "L(2,2)")
         assert rc == 0
         doc = json.loads(out)
         assert doc == {
@@ -85,15 +83,15 @@ class TestOrbit:
             "invariant": 1,
         }
 
-    def test_even_n_has_no_invariant(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(2,3)")
+    def test_even_n_has_no_invariant(self, capsys):
+        rc, out, _ = run(capsys, "orbit", "L(2,3)")
         assert rc == 0
         doc = json.loads(out)
         assert doc["n"] == 4 and doc["size"] == 9 and doc["level"] == 12
         assert doc["invariant"] is None
 
-    def test_three_weierstrass_orbit(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "orbit", "L(3,3)")
+    def test_three_weierstrass_orbit(self, capsys):
+        rc, out, _ = run(capsys, "orbit", "L(3,3)")
         assert rc == 0
         doc = json.loads(out)
         assert doc["size"] == 9 and doc["level"] == 15 and doc["invariant"] == 3
@@ -105,10 +103,8 @@ class TestOrbit:
         _, out2, _ = run(capsys, "orbit", "2cyl(3,1,1,2,0,0)")
         assert out1 == out2
 
-    def test_rejects_other_stratum(self, capsys, tmp_path):
-        rc, out, err = run(
-            capsys, "--cache-dir", str(tmp_path), "orbit", "2cyl(1,1,2,2,0,0)"
-        )
+    def test_rejects_other_stratum(self, capsys):
+        rc, out, err = run(capsys, "orbit", "2cyl(1,1,2,2,0,0)")
         assert rc == 3
         assert out == "" and "unsupported surface" in err
         # a zero length or height describes no surface at all
@@ -117,8 +113,8 @@ class TestOrbit:
             assert rc == 3
             assert out == "" and "must be positive" in err
 
-    def test_rejects_imprimitive(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "orbit", "1cyl(2,2,2;0;1)")
+    def test_rejects_imprimitive(self, capsys):
+        rc, _, err = run(capsys, "orbit", "1cyl(2,2,2;0;1)")
         assert rc == 3
         assert "not a primitive" in err
 
@@ -131,33 +127,29 @@ class TestOrbit:
         assert rc == 3
         assert out == "" and "not a primitive" in err
 
-    def test_rejects_garbage(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "orbit", "wedge(1,2)")
+    def test_rejects_garbage(self, capsys):
+        rc, _, err = run(capsys, "orbit", "wedge(1,2)")
         assert rc == 2
         assert "cannot parse" in err
 
-    def test_respects_orbit_bound(self, capsys, tmp_path):
-        rc, _, err = run(
-            capsys, "--cache-dir", str(tmp_path), "--max-orbit-n", "3", "orbit", "L(2,4)"
-        )
+    def test_respects_orbit_bound(self, capsys):
+        rc, _, err = run(capsys, "--max-orbit-n", "3", "orbit", "L(2,4)")
         assert rc == 2
         assert "exceeds" in err
 
-    def test_orbit_bound_checked_before_building(self, capsys, tmp_path, monkeypatch):
+    def test_orbit_bound_checked_before_building(self, capsys, monkeypatch):
         def refuse(diag):
             raise AssertionError(f"built {diag} despite the size bound")
 
         monkeypatch.setattr(cli, "build_from_diagram", refuse)
-        rc, out, err = run(
-            capsys, "--cache-dir", str(tmp_path), "orbit", "2cyl(1,1,1,300000,0,0)"
-        )
+        rc, out, err = run(capsys, "orbit", "2cyl(1,1,1,300000,0,0)")
         assert rc == 2
         assert out == "" and "n = 300001 exceeds --max-orbit-n = 25" in err
 
 
 class TestNoncong:
-    def test_certificate_c4(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "noncong", "C", "4")
+    def test_certificate_c4(self, capsys):
+        rc, out, _ = run(capsys, "noncong", "C", "4")
         assert rc == 0
         doc = json.loads(out)
         assert doc["verdict"] == "noncongruence"
@@ -167,13 +159,13 @@ class TestNoncong:
         assert doc["orbit_label"] == "C" and doc["n"] == 4
         assert "|" in doc["surface_key"]
 
-    def test_inconclusive_n3(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "noncong", "A", "3")
+    def test_inconclusive_n3(self, capsys):
+        rc, out, _ = run(capsys, "noncong", "A", "3")
         assert rc == 4
         assert out.strip() == "inconclusive"
 
-    def test_bad_parity(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "noncong", "C", "3")
+    def test_bad_parity(self, capsys):
+        rc, _, err = run(capsys, "noncong", "C", "3")
         assert rc == 2
         assert "C_n needs even n >= 4" in err
         for label, n, message in (("A", "4", "A_n needs odd n >= 3"), ("B", "3", "B_n needs odd n >= 5")):
@@ -181,10 +173,8 @@ class TestNoncong:
             assert rc == 2
             assert out == "" and message in err
 
-    def test_respects_orbit_bound(self, capsys, tmp_path):
-        rc, _, err = run(
-            capsys, "--cache-dir", str(tmp_path), "--max-orbit-n", "5", "noncong", "B", "7"
-        )
+    def test_respects_orbit_bound(self, capsys):
+        rc, _, err = run(capsys, "--max-orbit-n", "5", "noncong", "B", "7")
         assert rc == 2
         assert "exceeds" in err
 
@@ -197,9 +187,9 @@ class TestNoncong:
         assert rc == 2
         assert out == "" and "n = 300001 exceeds --max-orbit-n = 25" in err
 
-    def test_unknown_label_is_usage_error(self, capsys, tmp_path):
+    def test_unknown_label_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
-            cli.main(["--cache-dir", str(tmp_path), "noncong", "D", "5"])
+            cli.main(["noncong", "D", "5"])
         assert exc_info.value.code == 2
 
 
@@ -250,13 +240,13 @@ class TestBadcases:
         "51,2^8*3^4,2^8*3^2*5^4*23*47",
     ]
 
-    def test_csv(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "badcases")
+    def test_csv(self, capsys):
+        rc, out, _ = run(capsys, "badcases")
         assert rc == 0
         assert out.splitlines() == self.GOLDEN
 
-    def test_json(self, capsys, tmp_path):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--format", "json", "badcases")
+    def test_json(self, capsys):
+        rc, out, _ = run(capsys, "--format", "json", "badcases")
         assert rc == 0
         rows = json.loads(out)["rows"]
         assert rows[0] == {"n": 9, "d_factored": "3^4", "delta_factored": "2^3*3*5"}
@@ -265,8 +255,8 @@ class TestBadcases:
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["orbits", "levels", "invariant"])
-    def test_suites_pass(self, capsys, tmp_path, suite):
-        rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "verify", suite, "7")
+    def test_suites_pass(self, capsys, suite):
+        rc, out, _ = run(capsys, "verify", suite, "7")
         assert rc == 0
         lines = out.splitlines()
         assert lines and all(line.startswith("ok n=") for line in lines)
@@ -288,13 +278,13 @@ class TestVerify:
         assert rc == 1
         assert out.splitlines()[-1] == "FAIL n=7: A=54 + B=36 vs total 90"
 
-    def test_rejects_tiny_n_max(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "verify", "levels", "2")
+    def test_rejects_tiny_n_max(self, capsys):
+        rc, _, err = run(capsys, "verify", "levels", "2")
         assert rc == 2
         assert "need n_max >= 3" in err
 
-    def test_respects_orbit_bound(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "verify", "orbits", "30")
+    def test_respects_orbit_bound(self, capsys):
+        rc, _, err = run(capsys, "verify", "orbits", "30")
         assert rc == 2
         assert "exceeds" in err
 
@@ -369,9 +359,9 @@ class TestNoDiskWrites:
 
 
 class TestGlobalFlags:
-    def test_max_orbit_n_floor(self, tmp_path):
+    def test_max_orbit_n_floor(self):
         with pytest.raises(SystemExit) as exc_info:
-            cli.main(["--cache-dir", str(tmp_path), "--max-orbit-n", "2", "badcases"])
+            cli.main(["--max-orbit-n", "2", "badcases"])
         assert exc_info.value.code == 2
 
 

@@ -10,7 +10,6 @@ from origami_h2.enumeration import (
     classify,
     count_primitive,
     enumerate_diagrams,
-    enumerate_primitive,
     formula_split,
     formula_total,
     total_count_with_imprimitive,
@@ -27,7 +26,7 @@ from origami_h2.origami_core import (
     origami_from_key,
 )
 
-ENUMERATORS = (enumerate_primitive, enumerate_diagrams)
+ENUMERATORS = (enumerate_diagrams,)
 
 
 class TestFormulas:
@@ -74,13 +73,12 @@ class TestEnumerator:
     def test_count_below_three_is_zero(self):
         assert count_primitive(2) == 0
 
-    def test_distinct_diagrams_are_distinct_surfaces(self, enum_keys):
+    def test_distinct_diagrams_are_distinct_surfaces(self):
         # why counting needs no key: the diagrams key one-to-one onto the census
         for n in range(3, 17):
             diagrams = enumerate_diagrams(n)
             keys = {canonical_key(build_from_diagram(d)) for d in diagrams}
-            assert len(keys) == len(diagrams) == len(enum_keys(n)), n
-            assert keys == enum_keys(n), n
+            assert len(keys) == len(diagrams), n
 
     def test_named_orbits_partition_the_diagrams(self, named_orbit):
         for n in range(3, 22):
@@ -97,7 +95,6 @@ class TestCrossCheck:
 
     At n = 7 every shifted twist below still gives a primitive surface, so
     only the decomposition, not primitivity, can tell the builder is wrong.
-    Both enumerators run the same checked sweep.
     """
 
     def test_wrong_two_cylinder_twist_raises(self, monkeypatch):
@@ -151,7 +148,7 @@ class TestCrossCheck:
 
 class TestCornerScans:
     def test_one_corner_scan_per_candidate(self, monkeypatch):
-        # the H(2) check, the decomposition and the key share one scan
+        # the H(2) check and the decomposition share one scan
         calls = []
         real = origami_core._corners
 
@@ -161,9 +158,9 @@ class TestCornerScans:
 
         for module in (origami_core, enumeration):
             monkeypatch.setattr(module, "_corners", counting)
-        keys = enumerate_primitive(13)
+        diagrams = enumerate_diagrams(13)
         # two-cylinder tuples and least one-cylinder readings are distinct surfaces
-        assert len(calls) == len(keys) == formula_total(13)
+        assert len(calls) == len(diagrams) == formula_total(13)
 
     def test_counting_builds_no_key(self, monkeypatch):
         calls = []
@@ -178,7 +175,7 @@ class TestCornerScans:
 
         for module in (origami_core, enumeration):
             monkeypatch.setattr(module, "_corners", counting)
-            monkeypatch.setattr(module, "_key", no_key)
+        monkeypatch.setattr(origami_core, "_key", no_key)
         assert len(enumerate_diagrams(13)) == formula_total(13) == len(calls)
         calls.clear()
         assert all(rep.match for rep in verify_counts(3, 15))
@@ -191,6 +188,14 @@ class TestCornerScans:
 
         monkeypatch.setattr(origami_core, "Origami", no_surface)
         assert len(enumerate_diagrams(9)) == 189
+        assert all(rep.match for rep in verify_counts(3, 12))
+
+    def test_counting_keeps_no_census(self, monkeypatch):
+        # the totals count the checked sweep; no set of diagrams is collected
+        def no_census(n):
+            raise RuntimeError("counting collected the census")
+
+        monkeypatch.setattr(enumeration, "enumerate_diagrams", no_census)
         assert all(rep.match for rep in verify_counts(3, 12))
 
 

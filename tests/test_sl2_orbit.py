@@ -527,29 +527,16 @@ class TestOrbitAgainstAllTurns:
         with pytest.raises(RuntimeError, match="does not commute with S"):
             orbit(seed_surface("A", 11))
 
-    def test_quarter_turn_budget(self, monkeypatch):
-        # the all-turns closure makes index / 2 turns; inference leaves about
-        # index / 5, the mirrored S-edges 0.13·index, and deferring the
-        # f-cycles that need a turn about index / 10, inside index / 8
-        calls = []
-        real = sl2_orbit.quarter_turn
-
-        def counting(diag):
-            calls.append(diag)
-            return real(diag)
-
-        monkeypatch.setattr(sl2_orbit, "quarter_turn", counting)
-        orb = orbit(seed_surface("B", 29))
-        assert orb.index == 4095
-        assert 0 < len(calls) <= orb.index // 8
-
     def test_cusp_budget(self, monkeypatch):
         # No cusp is listed and no diagram is sheared: positions come from
         # cusp coordinates and T from index arithmetic, and the one member
         # built in closed form is each quarter turn's input.  One reflect per
         # first-seen cusp numbers its mirror too, the mirrored S-edges leave
         # 543 quarter turns (843 before the mirror), and deferring the
-        # f-cycles that need a turn until no other is left leaves 428.
+        # f-cycles that need a turn until no other is left leaves 428.  Of
+        # the index 4095, the all-turns closure turns about index / 2,
+        # inference alone leaves about index / 5, the mirrored S-edges
+        # 0.13·index, and the deferral about index / 10.
         calls = {name: [] for name in ("shear", "t_member", "quarter_turn", "reflect")}
         for module, name in ((oracles, "shear"), (sl2_orbit, "t_member"),
                              (sl2_orbit, "quarter_turn"), (sl2_orbit, "reflect")):
@@ -559,6 +546,7 @@ class TestOrbitAgainstAllTurns:
 
             monkeypatch.setattr(module, name, counting)
         orb = orbit(seed_surface("B", 29))
+        assert orb.index == 4095
         made = {name: len(seen) for name, seen in calls.items()}
         assert made["shear"] == 0
         assert made["t_member"] == made["quarter_turn"] == 428
