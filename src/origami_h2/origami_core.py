@@ -409,16 +409,12 @@ def canonical_key(o: Origami) -> bytes:
     to n = 65535; a larger n raises ValueError); it decodes back to the
     canonical representative via :func:`origami_from_key`.
     """
-    return _key(o.right, o.up, _corners(o.right, o.up))
-
-
-def _key(r, u, corners) -> bytes:
-    """:func:`canonical_key` of the pair (r, u) with the given corners."""
+    r, u = o.right, o.up
     n = len(r)
     if n > 0xFFFF:
         raise ValueError("a canonical key holds at most 65535 squares")
     # the commutator moves u(r(y)) exactly for the corners y
-    starts = [u[r[y]] for y in corners] or range(n)
+    starts = [u[r[y]] for y in _corners(r, u)] or range(n)
     best = None
     for s0 in starts:
         # BFS and encoding fused: the pair for x is final once x is processed,

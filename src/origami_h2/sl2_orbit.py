@@ -351,15 +351,15 @@ def orbit(o: Origami) -> Orbit:
     quarter turn builds its input alone (:func:`t_member`).  The closure
     walks one f-cycle a → b → c → a at a time, f = S∘T, with f³ = 1 because
     (S·T)³ = I (see the module docstring).  Its S-edges are T(a)–b, T(b)–c
-    and T(c)–a.  An edge already known is reused; since S is an involution,
-    a known S(a) = T(c) gives c = T⁻¹(S(a)) and then a known S(c) gives
-    b = T⁻¹(S(c)).  Only a still missing b or c costs a quarter turn, and
-    T(c)–a is never turned: f(c) = a.  An f-cycle that needs a turn waits
-    on a second stack until no other is left, as deductions come before
-    definitions in coset enumeration (Felsch), so the turns made meanwhile
-    may give its edges for free.  A fixed point of f is the cycle
-    a = b = c.  The T-images of the cycle are closed next, so the forward
-    closure is the full group orbit.
+    and T(c)–a.  The start is turned first, and every other a taken up is
+    T(x) for x on a closed f-cycle, whose edge T(x)–f(x) is stored, so
+    S(a) is always known and gives c = T⁻¹(S(a)).  Only b can be missing:
+    it is S(T(a)), or T⁻¹(S(c)), or else T(a) costs a quarter turn.  Such
+    an f-cycle waits on a second stack until no other is left, as
+    deductions come before definitions in coset enumeration (Felsch), so
+    the turns made meanwhile may give its edge for free.  A fixed point of
+    f is the cycle a = b = c, and the T-images of the cycle are closed
+    next, so the forward closure is the full group orbit.
 
     A cusp is numbered together with its mirror: ρ(T^j·d) = T^{−j}(ρd), so
     one :func:`reflect` per cusp places every mirror, the cusp itself when
@@ -420,32 +420,26 @@ def orbit(o: Origami) -> Orbit:
         s_perm[x], s_perm[y], s_perm[rx], s_perm[ry] = y, x, ry, rx
         return y
 
-    todo, later = [find(start)], []  # later: f-cycles that wait for a quarter turn
+    x = find(start)
+    turn(x)  # from here on every position taken up knows its S-image
+    todo, later = [x], []  # later: f-cycles that wait for a quarter turn
     while todo or later:
         turning = not todo
         a = (todo or later).pop()
         if closed[a]:
             continue
-        ta = t_perm[a]
+        ta, tc = t_perm[a], s_perm[a]
+        c = t_inv[tc]
         b = s_perm[ta]
-        sa = s_perm[a]
-        c = -1 if sa < 0 else t_inv[sa]
         if b < 0:
-            sc = -1 if c < 0 else s_perm[c]
+            sc = s_perm[c]
             if sc < 0 and not turning:
                 later.append(a)
                 continue
             b = turn(ta) if sc < 0 else t_inv[sc]
             s_perm[ta], s_perm[b] = b, ta
         tb = t_perm[b]
-        if c < 0:
-            if s_perm[tb] < 0 and not turning:
-                later.append(a)
-                continue
-            c = turn(tb) if s_perm[tb] < 0 else s_perm[tb]
         s_perm[tb], s_perm[c] = c, tb
-        tc = t_perm[c]
-        s_perm[tc], s_perm[a] = a, tc
         closed[a] = closed[b] = closed[c] = 1
         todo += (ta, tb, tc)
     if 0 in closed:

@@ -16,6 +16,7 @@ from origami_h2.congruence import (
     expected_index,
     expected_level,
     factorize,
+    formula_split,
     index_obstruction_check,
     lcm_upto,
     moebius,
@@ -66,6 +67,11 @@ class TestFactoredInteger:
         assert lcm_upto(9).value == 2520
         assert str(lcm_upto(9)) == "2^3*3^2*5*7"
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_lcm_upto_rejects_nonpositive(self, bad):
+        with pytest.raises(ValueError):
+            lcm_upto(bad)
+
 
 class TestSmallArithmetic:
     def test_divisors(self):
@@ -110,6 +116,11 @@ class TestCoprimePart:
                     g = gcd(t, b)
                     assert g > 1
                     t //= g
+
+    @pytest.mark.parametrize("a,b", [(0, 5), (5, 0), (-2, 3)])
+    def test_rejects_nonpositive(self, a, b):
+        with pytest.raises(ValueError):
+            coprime_part(a, b)
 
 
 class TestIndexFormulas:
@@ -163,6 +174,12 @@ class TestIndexFormulas:
     def test_expected_index_rejects(self, label, n):
         with pytest.raises(ValueError):
             expected_index(label, n)
+
+    @pytest.mark.parametrize("n", [4, 3, 1])
+    def test_formula_split_rejects(self, n):
+        # the split is defined for odd n >= 5 only
+        with pytest.raises(ValueError):
+            formula_split(n)
 
     @pytest.mark.parametrize("n,want", [(3, ["A"]), (4, ["C"]), (5, ["A", "B"]), (6, ["C"])])
     def test_orbit_labels(self, n, want):

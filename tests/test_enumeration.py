@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 
 from oracles import involution_weierstrass_count
-from origami_h2 import enumeration, origami_core
+import origami_h2
+from origami_h2 import congruence, enumeration, origami_core, sl2_orbit
 from origami_h2.enumeration import (
     classify,
     count_primitive,
@@ -170,12 +171,14 @@ class TestCornerScans:
             calls.append(len(r))
             return real(r, u)
 
-        def no_key(r, u, corners):
+        def no_key(o):
             raise RuntimeError("counting built a canonical key")
 
         for module in (origami_core, enumeration):
             monkeypatch.setattr(module, "_corners", counting)
-        monkeypatch.setattr(origami_core, "_key", no_key)
+        for module in (origami_core, sl2_orbit, congruence, enumeration, origami_h2):
+            if getattr(module, "canonical_key", None) is canonical_key:
+                monkeypatch.setattr(module, "canonical_key", no_key)
         assert len(enumerate_diagrams(13)) == formula_total(13) == len(calls)
         calls.clear()
         assert all(rep.match for rep in verify_counts(3, 15))

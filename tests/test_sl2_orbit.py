@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from origami_h2 import origami_core, sl2_orbit
 from origami_h2.cli import seed_surface
+from origami_h2.congruence import orbit_labels
 from origami_h2.enumeration import enumerate_diagrams
 from origami_h2.origami_core import (
     OneCylinder,
@@ -63,7 +64,7 @@ def named_orbit_documents(n_max=12) -> dict:
 
 def named_seeds(n_max: int) -> list:
     """(label, n) of every named orbit with n ≤ n_max."""
-    return [(label, n) for n in range(3, n_max + 1) for label in ("C" if n % 2 == 0 else "A" if n == 3 else "AB")]
+    return [(label, n) for n in range(3, n_max + 1) for label in orbit_labels(n)]
 
 
 def _malformed_documents() -> list:
