@@ -217,44 +217,45 @@ def _checked(diag: CylinderDiagram) -> CylinderDiagram:
 
 def _perms(diag: CylinderDiagram) -> tuple:
     """(right, up) as lists: the surface of ``diag`` once :func:`_checked` accepts it."""
-    rows, up, _ = _layout(_checked(diag))
-    right = list(range(1, len(up) + 1))
-    for a, w, end in rows:
-        right[a + w - 1 : end : w] = range(a, end, w)
-    return right, up
+    return _layout(_checked(diag))[:2]
 
 
 def _layout(diag: CylinderDiagram) -> tuple:
-    """(rows, up, cuts) of the surface the builders make from ``diag``.
+    """(right, up, corners) of the surface the builders make from ``diag``.
 
-    Rows are numbered up from the bottom of each cylinder and step right to
-    the next square, wrapping at their end: ``rows`` has one (first square,
-    width, end) block per cylinder.  Each of the three cuts in the top
-    boundaries is (first square of its top row, width, position p): its
-    corner (:func:`_corners`) sits at p − 1 (mod width), its break at p.
+    The one path from a diagram to its lists: builders, census sweep and
+    quarter turns.  Rows are numbered up from the bottom of each cylinder,
+    the wide one's first, and ``right`` steps right, wrapping at the row's
+    end.  The corners (:func:`_corners`) are the squares before the three
+    cuts of the top rows; the corner test is symmetric in right and up, so
+    they are also the corners of the transposed pair (up, right).
     """
     if isinstance(diag, OneCylinder):
         l1, l2, l3, t, h = diag
         w = l1 + l2 + l3
         t %= w
         n = w * h
+        right = list(range(1, n + 1))
+        right[w - 1 :: w] = range(0, n, w)
         # the top row's arcs A=[0,l1), B=[l1,l1+l2), C=[l1+l2,w) land in reversed
         # order on the bottom row, which the twist rotates: x ↦ lands[x]
         lands = [*range(t, w), *range(t)]
         up = [*range(w, n), *lands[l2 + l3 :], *lands[l3 : l2 + l3], *lands[:l3]]
-        return [(0, w, n)], up, [(n - w, w, 0), (n - w, w, l1), (n - w, w, l1 + l2)]
+        return right, up, [n - 1, n - w + l1 - 1, n - w + l1 + l2 - 1]
     h1, h2, w1, w2, t1, t2 = diag
     t1 %= w1
     t2 %= w2
-    nbig = h2 * w2  # the wide cylinder's rows come first, then the narrow one's
+    nbig = h2 * w2
     n = nbig + h1 * w1
+    right = list(range(1, n + 1))
+    right[w2 - 1 : nbig : w2] = range(0, nbig, w2)
+    right[nbig + w1 - 1 :: w1] = range(nbig, n, w1)
     # wide top position x lands at s = (x - t2) mod w2 of the bottom rows: the
     # narrow one's for s < w1, the wide one's otherwise (cuts at t2, t2 + w1)
     lands = [*range(nbig, nbig + w1), *range(w1, w2)]
     up = [*range(w2, nbig), *lands[w2 - t2 :], *lands[: w2 - t2]]
     up += [*range(nbig + w1, n), *range(w1 - t1, w1), *range(w1 - t1)]
-    cuts = [(nbig - w2, w2, t2), (nbig - w2, w2, (t2 + w1) % w2), (n - w1, w1, t1)]
-    return [(0, w2, nbig), (nbig, w1, n)], up, cuts
+    return right, up, [nbig - w2 + (t2 - 1) % w2, nbig - w2 + (t2 + w1 - 1) % w2, n - w1 + (t1 - 1) % w1]
 
 
 def build_l_shape(a: int, b: int) -> Origami:
@@ -484,10 +485,10 @@ def key_to_text(key: bytes) -> str:
 def key_from_text(text: str) -> bytes:
     """The key of a text that must be the canonical form of an H(2) surface."""
     rpart, upart = text.split("|")
+    if max(rpart.count(","), upart.count(",")) >= 0xFFFF:  # before any entry is converted
+        raise ValueError("a canonical key holds at most 65535 squares")
     right = [int(v) for v in rpart.split(",")]
     up = [int(v) for v in upart.split(",")]
-    if len(right) > 0xFFFF:
-        raise ValueError("a canonical key holds at most 65535 squares")
     o = Origami(right, up)
     # checked first: outside H(2) the key may try all n starts, O(n²) in all
     if not in_h2(o):

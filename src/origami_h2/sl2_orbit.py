@@ -1,38 +1,35 @@
 r"""The SL(2,Z) action on origamis: shears, quarter turn, orbits and cusps.
 
 The generators act on the permutation pair by precomposition:
+T = [[1,1],[0,1]] (horizontal shear) sends (right, up) to
+(right, up∘right⁻¹), and S = [[0,1],[-1,0]] (quarter turn) sends it to
+(up, right⁻¹), exchanging the horizontal and vertical directions.  The
+mirror ρ = diag(1, −1) sends it to (right, up⁻¹) (:func:`reflect`), and
+the transposition τ = [[0,1],[1,0]] = ρ·S to (up, right)
+(:func:`transpose`), so S = ρ·τ: (right, up) ↦ (up, right) ↦
+(up, right⁻¹).  The corner test u(r(y)) ≠ r(u(y)) is symmetric in r and
+u, so τ keeps the three corners, and a transpose decomposes the diagram's
+layout with its two lists exchanged, building no surface and listing no
+inverse: one layout (``origami_core._layout``) serves the builders, the
+census and every turn.
 
-* ``T = [[1,1],[0,1]]`` (horizontal shear) sends (right, up) to
-  (right, up∘right⁻¹);
-* ``S = [[0,1],[-1,0]]`` (quarter turn) sends (right, up) to (up, right⁻¹),
-  exchanging the horizontal and vertical directions.
-
-Orbits of the whole group are computed by closure under T and S on
-normalised cylinder diagrams, which name H(2) surfaces completely.  On
-a diagram T is twist arithmetic: a two-cylinder diagram takes t1 + h1
-(mod w1) and t2 + h2 (mod w2), a one-cylinder one t − h (mod w) and then
-its least rotation.  The T-cycles of an orbit are its cusps; the
-arithmetic gives any member of one in closed form (:func:`t_member`), and
-inverted it gives a diagram's cusp, width and place on the cusp
-(:func:`cusp_coordinates`), so the orbit numbers its diagrams without
-listing any cusp.  S (:func:`quarter_turn`) decomposes
-the turned surface laid out from the diagram, without building it, and
-S² = −I fixes every H(2) surface (the hyperelliptic involution), so one
-quarter turn gives both S-edges of a pair.  With these matrices
-S·T = [[0,1],[−1,−1]], (S·T)² = [[−1,−1],[1,0]] and (S·T)³ = I, so
-f = S∘T has order dividing 3 on diagrams: of the three S-edges of an
-f-cycle a → f(a) → f²(a) → a, any two give the third.
-
-The mirror ρ = diag(1, −1) is not in SL(2,Z) but normalises it: on
-surfaces it sends (right, up) to (right, up⁻¹) (:func:`reflect`).  From
-ρTρ = T⁻¹ and ρSρ = S⁻¹ = −S, with −I acting trivially, T(ρx) = ρT⁻¹(x)
-and S(ρx) = ρS(x): ρ maps each cusp onto a cusp read in reverse T-order,
-and each S-edge x–y onto the S-edge ρx–ρy.  Every quarter turn therefore
-also gives the S-edges of its mirror pair, and the orbit, which turns only
-when nothing is left to infer, makes about 0.1 quarter turns per surface.
-The cusp width is the T-cycle length, and the lcm of the widths is the
-level of the stabiliser.  An arbitrary unimodular matrix acts through its
-Euclidean factorisation into a word in T and S.
+Orbits are closed under T and S on normalised cylinder diagrams, which
+name H(2) surfaces completely.  T is twist arithmetic, so any member of a
+T-cycle (cusp) comes in closed form (:func:`t_member`), and inverted it
+gives a diagram's cusp, width and place on it (:func:`cusp_coordinates`):
+the orbit lists no cusp.  S² = −I fixes every H(2) surface (the
+hyperelliptic involution), so one quarter turn gives both S-edges of a
+pair.  S·T = [[0,1],[−1,−1]], (S·T)² = [[−1,−1],[1,0]] and (S·T)³ = I,
+so of the three S-edges of an f-cycle a → f(a) → f²(a) → a, f = S∘T, any
+two give the third.  ρ normalises SL(2,Z): from ρTρ = T⁻¹ and
+ρSρ = S⁻¹ = −S, with −I acting trivially, T(ρx) = ρT⁻¹(x) and
+S(ρx) = ρS(x), so ρ maps each cusp onto a cusp read in reverse T-order
+and each S-edge x–y onto ρx–ρy.  The orbit reads S through the mirror:
+for z = τx it records S(x) = ρz and S(ρx) = ρS(x) = z, and as it turns
+only when nothing is left to infer, it makes about 0.1 turns per
+surface.  The lcm of the cusp widths is the level of the stabiliser, and
+an arbitrary unimodular matrix acts through its Euclidean factorisation
+into a word in T and S.
 """
 
 from __future__ import annotations
@@ -99,8 +96,7 @@ def v_power(k: int) -> MatrixZ:
 
 def apply_T(o: Origami) -> Origami:
     """The horizontal shear: (right, up) ↦ (right, up∘right⁻¹)."""
-    rinv = _inverse(o.right)
-    return Origami(o.right, tuple(o.up[j] for j in rinv), check=False)
+    return Origami(o.right, tuple(o.up[j] for j in _inverse(o.right)), check=False)
 
 
 def apply_S(o: Origami) -> Origami:
@@ -253,19 +249,18 @@ def reflect(diag: CylinderDiagram) -> CylinderDiagram:
     return least_rotation(OneCylinder(l3, l2, l1, -t % (l1 + l2 + l3), h))
 
 
-def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
-    """S on a cylinder diagram: ``cylinder_decomposition(apply_S(build_from_diagram(diag)))``.
+def transpose(diag: CylinderDiagram) -> CylinderDiagram:
+    """τ = [[0,1],[1,0]] on a diagram: its layout decomposed as (up, right), with the same corners."""
+    right, up, corners = _layout(diag)
+    return _decompose(up, right, corners)
 
-    No surface is built.  The turned surface is (up, right⁻¹) of the row
-    layout, where right⁻¹ is a shifted range with each row's first square
-    patched to its last.  Its corners are the breaks right(c) after the
-    layout's corners c, so only the walk of its top rows is left.
+
+def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:
+    """S = ρ∘τ on a diagram: ``cylinder_decomposition(apply_S(build_from_diagram(diag)))``.
+
+    :func:`orbit` reads ρ off its positions instead; the codec calls this.
     """
-    rows, up, cuts = _layout(diag)
-    rinv = list(range(-1, len(up) - 1))
-    for a, w, end in rows:
-        rinv[a:end:w] = range(a + w - 1, end, w)
-    return _decompose(up, rinv, [a + p for a, _, p in cuts])
+    return reflect(transpose(diag))
 
 
 class Orbit:
@@ -363,12 +358,12 @@ def orbit(o: Origami) -> Orbit:
 
     A cusp is numbered together with its mirror: ρ(T^j·d) = T^{−j}(ρd), so
     one :func:`reflect` per cusp places every mirror, the cusp itself when
-    ρd = T^{e0}·d.  Each quarter turn x → y also records S(ρx) = ρy.  The
-    orbits of H(2) are told apart by n and the count of integer Weierstrass
-    points (Hubert–Lelièvre), both ρ-invariant, so each orbit is; nothing
-    here assumes it: a mirror cusp the closure never reaches, or mirrors
-    that do not commute with S, raise RuntimeError.  No canonical key is
-    computed.
+    ρd = T^{e0}·d.  A turn decomposes only z = τx (:func:`transpose`) and
+    reads S(x) = ρz and S(ρx) = z off those mirrors.  Each H(2) orbit is
+    ρ-invariant (n and the integer Weierstrass count, both ρ-invariant,
+    tell the orbits apart: Hubert–Lelièvre), but the closure does not trust
+    the mirror: a mirror cusp it never reaches, or mirrors that do not
+    commute with S, raise RuntimeError.  No canonical key is computed.
     """
     start = cylinder_decomposition(o)
     if lattice_index(start) != 1:
@@ -413,11 +408,11 @@ def orbit(o: Origami) -> Orbit:
         return i
 
     def turn(x: int) -> int:
-        # S(x) by a quarter turn, recorded with its mirror S(ρx) = ρS(x)
+        # S(x) = ρ(τx) from the transpose z = τx, with the mirror edge S(ρx) = z
         base, first = cusp_at[x]
-        y = find(quarter_turn(t_member(first, x - base)))
-        rx, ry = r_perm[x], r_perm[y]
-        s_perm[x], s_perm[y], s_perm[rx], s_perm[ry] = y, x, ry, rx
+        z = find(transpose(t_member(first, x - base)))
+        y, rx = r_perm[z], r_perm[x]
+        s_perm[x], s_perm[y], s_perm[rx], s_perm[z] = y, x, z, rx
         return y
 
     x = find(start)

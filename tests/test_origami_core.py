@@ -247,8 +247,8 @@ class TestDecomposition:
              "one-row-short"],
     )
     def test_corners_from_outside_the_scan_raise(self, r, u, match):
-        # _decompose trusts its caller's corners (quarter_turn passes the
-        # laid-out breaks); corners 0, 1, 2 of these pairs are no H(2) corners
+        # _decompose trusts its caller's corners (transpose passes the
+        # laid-out corners); corners 0, 1, 2 of these pairs are no H(2) corners
         with pytest.raises(MalformedSurfaceError, match=match):
             _decompose(r, u, [0, 1, 2])
 
@@ -438,6 +438,13 @@ class TestKeyDecoding:
     def test_key_from_text_rejects_more_squares_than_a_key_holds(self):
         o = build_l_shape(2, 0xFFFF)  # an H(2) surface on 65536 squares
         text = ",".join(map(str, o.right)) + "|" + ",".join(map(str, o.up))
+        with pytest.raises(ValueError, match="at most 65535 squares"):
+            key_from_text(text)
+
+    def test_key_from_text_counts_squares_before_converting(self):
+        # the bound is read off the commas: no entry of an oversized text is
+        # converted, so its last, non-integer entry is never reached
+        text = ",".join(["0"] * 0xFFFF + ["x"]) + "|0"
         with pytest.raises(ValueError, match="at most 65535 squares"):
             key_from_text(text)
 

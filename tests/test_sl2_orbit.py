@@ -42,6 +42,7 @@ from origami_h2.sl2_orbit import (
     quarter_turn,
     reflect,
     t_power,
+    transpose,
     u_orbit_width,
     v_power,
 )
@@ -152,10 +153,13 @@ class TestDiagramAction:
             assert shear(diag) == cylinder_decomposition(apply_T(build_from_diagram(diag))), diag
 
     def test_quarter_turn_is_the_decomposed_quarter_turn(self):
+        # S = ρ∘τ: the transpose (up, right) and then the mirror
         diags = self.diagrams(16)
         assert len(diags) == 10_859
         for diag in diags:
-            assert quarter_turn(diag) == cylinder_decomposition(apply_S(build_from_diagram(diag))), diag
+            o = build_from_diagram(diag)
+            assert transpose(diag) == cylinder_decomposition(Origami(o.up, o.right, check=False)), diag
+            assert quarter_turn(diag) == cylinder_decomposition(apply_S(o)), diag
 
     @staticmethod
     def normalised(n_max: int) -> set:
@@ -241,23 +245,23 @@ class TestDiagramAction:
             assert image == diag, diag
 
     def test_layout_corners_are_the_scanned_corners(self):
-        # the closed-form cuts name the corner squares the scan finds on the
-        # built surface: the square at p - 1 (mod width) of each top row
+        # the closed-form corners are the squares the scan finds on the built
+        # surface, the square before each cut of a top row
         for diag in self.diagrams(16):
             o = build_from_diagram(diag)
-            cuts = origami_core._layout(diag)[2]
-            corners = {a + (p - 1) % w for a, w, p in cuts}
-            assert corners == set(origami_core._corners(o.right, o.up)), diag
+            corners = origami_core._layout(diag)[2]
+            assert sorted(corners) == origami_core._corners(o.right, o.up), diag
 
     def test_quarter_turn_builds_no_surface(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("quarter_turn must not build or scan a surface")
+            raise AssertionError("a quarter turn must not build or scan a surface")
 
         for module, name in ((sl2_orbit, "build_from_diagram"), (sl2_orbit, "apply_S"),
                              (sl2_orbit, "_inverse"), (sl2_orbit, "cylinder_decomposition"),
                              (origami_core, "_corners"), (origami_core, "_inverse")):
             monkeypatch.setattr(module, name, refuse)
         for diag in (TwoCylinder(2, 1, 3, 7, 1, 4), OneCylinder(1, 6, 2, 3, 1), OneCylinder(2, 2, 2, 1, 3)):
+            transpose(diag)
             quarter_turn(diag)
 
 
@@ -510,10 +514,11 @@ class TestOrbitAgainstAllTurns:
             orbit(seed_surface("A", 3))
 
     def test_mirror_that_does_not_commute_with_s_raises(self, monkeypatch, named_orbit):
-        # A11's cusps of widths 3 and 7 sent onto B11's first cusp of that
-        # width, reflect right elsewhere: both mirror guards pass, and
-        # without the check that rho commutes with S the closure returns
-        # 303 diagrams where the orbit has 225
+        # A11's cusps of width 7 sent onto B11's first cusp of that width,
+        # reflect right elsewhere: both mirror guards pass, and without the
+        # check that rho commutes with S the closure returns 232 diagrams
+        # where the orbit has 225 (sending the width-3 cusps too trips the
+        # reach guard first, since a turn reads S(x) through the mirror)
         members = set(named_orbit("A", 11).diagrams)
         twin = {}
         for cycle in cusps(named_orbit("B", 11)):
@@ -522,7 +527,7 @@ class TestOrbitAgainstAllTurns:
 
         def wrong(diag):
             k = len(t_cycle(diag))
-            return twin[k] if diag in members and k in (3, 7) else real(diag)
+            return twin[k] if diag in members and k == 7 else real(diag)
 
         monkeypatch.setattr(sl2_orbit, "reflect", wrong)
         with pytest.raises(RuntimeError, match="does not commute with S"):
@@ -531,16 +536,17 @@ class TestOrbitAgainstAllTurns:
     def test_cusp_budget(self, monkeypatch):
         # No cusp is listed and no diagram is sheared: positions come from
         # cusp coordinates and T from index arithmetic, and the one member
-        # built in closed form is each quarter turn's input.  One reflect per
-        # first-seen cusp numbers its mirror too, the mirrored S-edges leave
+        # built in closed form is each transpose's input.  One reflect per
+        # first-seen cusp numbers its mirror too, and a turn reads S through
+        # that mirror, calling none.  The mirrored S-edges leave
         # 543 quarter turns (843 before the mirror), and deferring the
         # f-cycles that need a turn until no other is left leaves 428.  Of
         # the index 4095, the all-turns closure turns about index / 2,
         # inference alone leaves about index / 5, the mirrored S-edges
         # 0.13·index, and the deferral about index / 10.
-        calls = {name: [] for name in ("shear", "t_member", "quarter_turn", "reflect")}
+        calls = {name: [] for name in ("shear", "t_member", "transpose", "reflect")}
         for module, name in ((oracles, "shear"), (sl2_orbit, "t_member"),
-                             (sl2_orbit, "quarter_turn"), (sl2_orbit, "reflect")):
+                             (sl2_orbit, "transpose"), (sl2_orbit, "reflect")):
             def counting(*args, real=getattr(module, name), seen=calls[name]):
                 seen.append(args)
                 return real(*args)
@@ -550,7 +556,7 @@ class TestOrbitAgainstAllTurns:
         assert orb.index == 4095
         made = {name: len(seen) for name, seen in calls.items()}
         assert made["shear"] == 0
-        assert made["t_member"] == made["quarter_turn"] == 428
+        assert made["t_member"] == made["transpose"] == 428
         assert len(orb.ks) == 199
         self_mirror = sum(reflect(cycle[0]) in cycle for cycle in cusps(orb))
         assert 2 * made["reflect"] == len(orb.ks) + self_mirror
