@@ -14,7 +14,7 @@ All index arithmetic is exact integer work on prime factorisations:
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
@@ -274,19 +274,21 @@ def noncongruence_search(orb: Orbit) -> Optional[NoncongruenceCertificate]:
     passes the arithmetic obstruction yields the certificate, on the least
     key carrying that pair, after full re-verification.  The reported
     (k, k′, m, δ) is thus an invariant of the orbit, not of the key bytes.
-    Pairs are read off the width at each position and ``s_perm``, and only
-    the carriers of the certifying pair are built (:meth:`Orbit.diagram`)
-    and keyed, so no cusp is listed.  None means inconclusive — the
-    criterion is one-sided and never proves congruence.
+    The distinct pairs are read off the width at each position and
+    ``s_perm`` without a list of them, and only the carriers of the
+    certifying pair, sought on the cusps of width k alone, are built
+    (:meth:`Orbit.diagram`) and keyed, so no cusp is listed.  None means
+    inconclusive — the criterion is one-sided and never proves congruence.
     """
     d = orb.index
     ell = level(orb)
-    widths = orb.widths
-    pairs = list(zip(widths, map(widths.__getitem__, orb.s_perm)))
-    for k, k_prime in sorted(set(pairs)):
+    widths, s_perm, ks = orb.widths, orb.s_perm, orb.ks
+    for k, k_prime in sorted(set(zip(widths, map(widths.__getitem__, s_perm)))):
         witness = index_obstruction_check(d, ell, k, k_prime)
         if witness is not None:
-            carriers = compress(range(d), map((k, k_prime).__eq__, pairs))
+            # only the positions of a cusp of width k can carry (k, k′)
+            carriers = (p for base, width in zip(accumulate([0, *ks]), ks) if width == k
+                        for p in range(base, base + k) if widths[s_perm[p]] == k_prime)
             key = min(map(orb.key, map(orb.diagram, carriers)))
             cert = NoncongruenceCertificate(
                 key, k, k_prime, d, ell, witness.m, witness.delta

@@ -9,7 +9,7 @@ the transposition τ = [[0,1],[1,0]] = ρ·S to (up, right)
 (:func:`transpose`), so S = ρ·τ: (right, up) ↦ (up, right) ↦
 (up, right⁻¹).  The corner test u(r(y)) ≠ r(u(y)) is symmetric in r and
 u, so τ keeps the three corners, and a transpose decomposes the diagram's
-layout with its two lists exchanged, building no surface and listing no
+layout with right and up exchanged, building no surface and listing no
 inverse: one layout (``origami_core._layout``) serves the builders, the
 census and every turn.
 

@@ -2,7 +2,7 @@
 
 Each oracle recomputes a quantity by a route disjoint from the production
 code: the canonical key started from every square, the cylinder builders
-square by square, brute force over permutation pairs, spanning-tree holonomy
+square by square and their layout without the per-shape memo, brute force over permutation pairs, spanning-tree holonomy
 with explicit sublattice enumeration, and the hyperelliptic involution found
 by constraint propagation, T stepped one shear at a time, and the orbit
 closed with a quarter turn for every S-pair.  Slow is fine here; different
@@ -68,10 +68,12 @@ def all_starts_key(o: Origami) -> bytes:
 # ---------------------------------------------------------------------------
 # the cylinder builders, square by square
 #
-# The library builds each row from range slices and one rotated list of
-# landing squares.  These references compute every square's right and up
-# neighbour separately from its (x, y) coordinates; the library's builders
-# must return equal Origami values.
+# The library keeps each cylinder shape's twist-free rows and reads each top
+# row as one slice of its doubled landing squares.  These references compute
+# every square's right and up neighbour separately from its (x, y)
+# coordinates; the library's builders must return equal Origami values.
+# ``layout_from_ranges`` builds a whole layout from ranges for every
+# diagram, with no per-shape memo; the library's ``_layout`` must equal it.
 
 
 def reference_two_cylinder(h1: int, h2: int, w1: int, w2: int, t1: int, t2: int) -> Origami:
@@ -138,6 +140,36 @@ def reference_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) ->
                     fx = x - l1 - l2
                 up[i] = (fx + t) % w
     return Origami(right, up, check=False)
+
+
+def layout_from_ranges(diag: CylinderDiagram) -> tuple:
+    """(right, up, corners) as lists, every list built from ranges for this diagram."""
+    if isinstance(diag, OneCylinder):
+        l1, l2, l3, t, h = diag
+        w = l1 + l2 + l3
+        t %= w
+        n = w * h
+        right = list(range(1, n + 1))
+        right[w - 1 :: w] = range(0, n, w)
+        # the top row's arcs A=[0,l1), B=[l1,l1+l2), C=[l1+l2,w) land in reversed
+        # order on the bottom row, which the twist rotates: x ↦ lands[x]
+        lands = [*range(t, w), *range(t)]
+        up = [*range(w, n), *lands[l2 + l3 :], *lands[l3 : l2 + l3], *lands[:l3]]
+        return right, up, [n - 1, n - w + l1 - 1, n - w + l1 + l2 - 1]
+    h1, h2, w1, w2, t1, t2 = diag
+    t1 %= w1
+    t2 %= w2
+    nbig = h2 * w2
+    n = nbig + h1 * w1
+    right = list(range(1, n + 1))
+    right[w2 - 1 : nbig : w2] = range(0, nbig, w2)
+    right[nbig + w1 - 1 :: w1] = range(nbig, n, w1)
+    # wide top position x lands at s = (x - t2) mod w2 of the bottom rows: the
+    # narrow one's for s < w1, the wide one's otherwise (cuts at t2, t2 + w1)
+    lands = [*range(nbig, nbig + w1), *range(w1, w2)]
+    up = [*range(w2, nbig), *lands[w2 - t2 :], *lands[: w2 - t2]]
+    up += [*range(nbig + w1, n), *range(w1 - t1, w1), *range(w1 - t1)]
+    return right, up, [nbig - w2 + (t2 - 1) % w2, nbig - w2 + (t2 + w1 - 1) % w2, n - w1 + (t1 - 1) % w1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from oracles import (
     format_diagram,
     h2_transitive_mask,
     involution_weierstrass_count,
+    layout_from_ranges,
     pair_masks,
     reference_one_cylinder,
     reference_two_cylinder,
@@ -23,6 +24,7 @@ from oracles import (
 )
 from origami_h2 import origami_core
 from origami_h2.origami_core import (
+    LAYOUT_MEMO_SIZE,
     InvalidSurfaceError,
     MalformedSurfaceError,
     OneCylinder,
@@ -30,6 +32,9 @@ from origami_h2.origami_core import (
     TwoCylinder,
     _decompose,
     _is_transitive,
+    _layout,
+    _perms,
+    _shape,
     build_from_diagram,
     build_l_shape,
     build_one_cylinder,
@@ -137,6 +142,65 @@ class TestBuilders:
     def test_twists_are_reduced_modulo_widths(self):
         assert build_two_cylinder(1, 1, 2, 3, 2, 3) == build_two_cylinder(1, 1, 2, 3, 0, 0)
         assert build_one_cylinder(1, 2, 2, 5, 1) == build_one_cylinder(1, 2, 2, 0, 1)
+
+
+class TestLayoutMemo:
+    """``_layout`` reads each shape's twist-free half from a bounded memo."""
+
+    @staticmethod
+    def every_shape(n_max):
+        """A diagram of every cylinder shape on at most n_max squares, at twist 0."""
+        for n in range(3, n_max + 1):
+            for h1, h2, w1, w2, t1, t2 in all_two_cylinder_tuples(n):
+                if t1 == t2 == 0:
+                    yield TwoCylinder(h1, h2, w1, w2, 0, 0)
+            for l1, l2, l3, t, h in all_one_cylinder_tuples(n):
+                if t == 0:
+                    yield OneCylinder(l1, l2, l3, 0, h)
+
+    def test_layout_is_the_layout_from_ranges(self):
+        # every shape with n <= 24, heights above 1 included, at twists 0, 1,
+        # w - 1, negative and >= w on each cylinder
+        for diag in self.every_shape(24):
+            if isinstance(diag, OneCylinder):
+                w = diag.l1 + diag.l2 + diag.l3
+                variants = [diag._replace(t=t) for t in (0, 1, w - 1, -1, -w - 2, w, w + 3, 2 * w + 1)]
+            else:
+                twists = lambda w: (0, 1, w - 1, -1, -2 * w + 1, w, w + 2)
+                variants = [diag._replace(t1=t1, t2=t2) for t1 in twists(diag.w1) for t2 in twists(diag.w2)]
+            for d in variants:
+                right, up, corners = _layout(d)
+                assert (list(right), up, corners) == layout_from_ranges(d), d
+
+    def test_mutating_up_leaves_the_next_layout_unchanged(self):
+        # each twin has its diagram's shape: (h1, h2, w1, w2), or (w, h)
+        for diag, twin in ((TwoCylinder(2, 3, 2, 5, 1, 3), TwoCylinder(2, 3, 2, 5, 0, 4)),
+                           (OneCylinder(2, 3, 4, 5, 2), OneCylinder(4, 3, 2, 0, 2))):
+            up = _perms(diag)[1]
+            up.reverse()
+            up[-1] = -1
+            for d in (diag, twin):
+                assert _layout(d)[1] == layout_from_ranges(d)[1], d
+
+    def test_right_cannot_corrupt_the_memo(self):
+        diag = TwoCylinder(1, 2, 3, 4, 1, 2)
+        right, _ = _perms(diag)
+        with pytest.raises(TypeError):
+            right[0] = right[1]
+        # the shape's other twists share it, unchanged
+        assert _layout(diag._replace(t1=0, t2=3))[0] is right
+        assert list(right) == layout_from_ranges(diag)[0]
+
+    def test_memo_stays_within_its_bound(self):
+        # more one-cylinder shapes (w, h) than the bound, each laid out twice
+        shapes = [(w, h) for w in range(3, 40) for h in range(1, LAYOUT_MEMO_SIZE // 30)]
+        assert len(shapes) > LAYOUT_MEMO_SIZE
+        for w, h in shapes:
+            for t in (0, 1):
+                _layout(OneCylinder(1, 1, w - 2, t, h))
+        info = _shape.cache_info()
+        assert info.maxsize == LAYOUT_MEMO_SIZE
+        assert info.currsize <= LAYOUT_MEMO_SIZE
 
 
 class TestOrigamiValidation:
