@@ -14,7 +14,6 @@ All index arithmetic is exact integer work on prime factorisations:
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
@@ -276,7 +275,8 @@ def noncongruence_search(orb: Orbit) -> Optional[NoncongruenceCertificate]:
     (k, k′, m, δ) is thus an invariant of the orbit, not of the key bytes.
     The distinct pairs are read off the width at each position and
     ``s_perm`` without a list of them, and only the carriers of the
-    certifying pair, sought on the cusps of width k alone, are built
+    certifying pair, sought on the cusps of width k alone (from each
+    cusp's first position in ``Orbit.bases``), are built
     (:meth:`Orbit.diagram`) and keyed, so no cusp is listed.  None means
     inconclusive — the criterion is one-sided and never proves congruence.
     """
@@ -287,7 +287,7 @@ def noncongruence_search(orb: Orbit) -> Optional[NoncongruenceCertificate]:
         witness = index_obstruction_check(d, ell, k, k_prime)
         if witness is not None:
             # only the positions of a cusp of width k can carry (k, k′)
-            carriers = (p for base, width in zip(accumulate([0, *ks]), ks) if width == k
+            carriers = (p for base, width in zip(orb.bases, ks) if width == k
                         for p in range(base, base + k) if widths[s_perm[p]] == k_prime)
             key = min(map(orb.key, map(orb.diagram, carriers)))
             cert = NoncongruenceCertificate(

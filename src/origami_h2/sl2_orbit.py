@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -267,20 +267,22 @@ class Orbit:
     """A full SL(2,Z) orbit as the T- and S-permutations of its positions.
 
     The cusps take consecutive positions, in T-order from their first
-    member: ``starts`` holds each cusp's first member and ``ks`` its width,
-    and ``t_perm`` and ``s_perm`` send a position to that of its image under
-    T and under S.  ``index``, ``cusp_widths`` and ``widths`` (the cusp
-    width at each position) read the widths alone, and :meth:`diagram`
-    gives the diagram at one position in closed form.  ``diagrams`` lists
+    member: ``starts`` holds each cusp's first member, ``ks`` its width and
+    ``bases`` its first position, and ``t_perm`` and ``s_perm`` send a
+    position to that of its image under T and under S.  ``index``,
+    ``cusp_widths`` and ``widths`` (the cusp width at each position) read
+    the widths alone, and :meth:`diagram` finds a position's cusp in
+    ``bases`` and gives its diagram in closed form.  ``diagrams`` lists
     every member in position order and is built on first use.  Canonical
     keys are made only on demand: :meth:`key` of one diagram, and
     ``surfaces`` and ``base_key``, which key the whole orbit on first use.
     """
 
-    def __init__(self, n: int, starts: list, ks: list, t_perm: list, s_perm: list):
+    def __init__(self, n: int, starts: list, ks: list, bases: list, t_perm: list, s_perm: list):
         self.n = n
         self.starts = starts
         self.ks = ks
+        self.bases = bases
         self.t_perm = t_perm
         self.s_perm = s_perm
 
@@ -299,17 +301,12 @@ class Orbit:
         """The width of each position's cusp."""
         return list(chain.from_iterable(map(repeat, self.ks, self.ks)))
 
-    @cached_property
-    def _bases(self) -> list:
-        # each cusp's first position
-        return list(accumulate(self.ks[:-1], initial=0))
-
     def diagram(self, p: int) -> CylinderDiagram:
         """The normalised diagram at position ``p``."""
         if not 0 <= p < self.index:
             raise IndexError(f"position {p} is outside an orbit of {self.index}")
-        c = bisect_right(self._bases, p) - 1
-        return t_member(self.starts[c], p - self._bases[c])
+        c = bisect_right(self.bases, p) - 1
+        return t_member(self.starts[c], p - self.bases[c])
 
     @cached_property
     def diagrams(self) -> list:
@@ -341,9 +338,11 @@ def orbit(o: Origami) -> Orbit:
 
     Diagrams are numbered as they are found, a whole cusp at a time, so T
     and T⁻¹ are index arithmetic.  No cusp is listed: the first member seen
-    of a cusp takes the next k positions, and any other member's position
-    is read off its :func:`cusp_coordinates`, base + (j − j0) mod k.  A
-    quarter turn builds its input alone (:func:`t_member`).  The closure
+    of a cusp takes the next k positions from its base (``Orbit.bases``),
+    and any other member's position is read off its
+    :func:`cusp_coordinates`, base + (j − j0) mod k.  A quarter turn bisects
+    the bases for its input's cusp and builds that input alone
+    (:func:`t_member`).  The closure
     walks one f-cycle a → b → c → a at a time, f = S∘T, with f³ = 1 because
     (S·T)³ = I (see the module docstring).  Its S-edges are T(a)–b, T(b)–c
     and T(c)–a.  The start is turned first, and every other a taken up is
@@ -369,8 +368,7 @@ def orbit(o: Origami) -> Orbit:
     if lattice_index(start) != 1:
         raise ValueError("orbit computation expects a primitive surface")
     cusps = {}  # cusp id -> (first position, width, offset of the first member seen)
-    starts, ks = [], []  # each cusp's first member and width
-    cusp_at = []  # (first position, first member) of each position's cusp
+    starts, ks, bases = [], [], []  # each cusp's first member, width and first position
     t_perm, t_inv, s_perm, r_perm = [], [], [], []
     closed = bytearray()  # positions whose f-cycle is walked
 
@@ -378,9 +376,9 @@ def orbit(o: Origami) -> Orbit:
         # diag's cusp, with coordinates (cusp, k, j), at the next k positions; returns the first
         base = len(t_perm)
         cusps[cusp] = (base, k, j)
-        cusp_at.extend([(base, diag)] * k)
         starts.append(diag)
         ks.append(k)
+        bases.append(base)
         t_perm.extend([*range(base + 1, base + k), base])
         t_inv.extend([base + k - 1, *range(base, base + k - 1)])
         s_perm.extend([-1] * k)
@@ -409,8 +407,8 @@ def orbit(o: Origami) -> Orbit:
 
     def turn(x: int) -> int:
         # S(x) = ρ(τx) from the transpose z = τx, with the mirror edge S(ρx) = z
-        base, first = cusp_at[x]
-        z = find(transpose(t_member(first, x - base)))
+        c = bisect_right(bases, x) - 1
+        z = find(transpose(t_member(starts[c], x - bases[c])))
         y, rx = r_perm[z], r_perm[x]
         s_perm[x], s_perm[y], s_perm[rx], s_perm[z] = y, x, z, rx
         return y
@@ -441,7 +439,7 @@ def orbit(o: Origami) -> Orbit:
         raise RuntimeError(f"the mirror of the orbit of {start} is another orbit")
     if list(map(s_perm.__getitem__, r_perm)) != list(map(r_perm.__getitem__, s_perm)):
         raise RuntimeError(f"the mirror does not commute with S on the orbit of {start}")
-    return Orbit(o.n, starts, ks, t_perm, s_perm)
+    return Orbit(o.n, starts, ks, bases, t_perm, s_perm)
 
 
 def level(orb: Orbit) -> int:
@@ -451,7 +449,7 @@ def level(orb: Orbit) -> int:
 
 def _cusps(orb: Orbit, keys: list) -> list:
     """(least key on the T-cycle, width) of each cusp, sorted, from the key at each position."""
-    return sorted((min(keys[b:b + k]), k) for b, k in zip(orb._bases, orb.ks))
+    return sorted((min(keys[b:b + k]), k) for b, k in zip(orb.bases, orb.ks))
 
 
 def orbit_to_json(orb: Orbit) -> str:
@@ -536,7 +534,7 @@ def orbit_from_json(text: str) -> Orbit:
     rank = _inverse(order)
     base_key = key_from_text(_field(doc, "base_key", str))
     orb = Orbit(_field(doc, "n", int), [diagrams[cycle[0]] for cycle in cycles],
-                [len(cycle) for cycle in cycles],
+                [len(cycle) for cycle in cycles], [rank[cycle[0]] for cycle in cycles],
                 [rank[t_next[i]] for i in order], [rank[s_next[i]] for i in order])
     # the Orbit regenerates each cusp from its first member by the shear
     at = orb.diagrams

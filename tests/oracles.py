@@ -12,7 +12,7 @@ relabelling, the commutator, the canonical representative, the text that
 its diagrams.
 """
 
-from itertools import accumulate, permutations
+from itertools import permutations
 from math import factorial, prod
 from struct import pack
 
@@ -517,7 +517,7 @@ def t_cycle(diag: CylinderDiagram) -> list:
 def cusps(orb) -> list:
     """An orbit's cusps in position order, each a slice of ``orb.diagrams`` in T-order."""
     at = orb.diagrams
-    return [at[b:b + k] for b, k in zip(accumulate(orb.ks, initial=0), orb.ks)]
+    return [at[b:b + k] for b, k in zip(orb.bases, orb.ks)]
 
 
 def positions(orb) -> dict:

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 function, class, module-level name and class member a package module
-defines is reached from outside itself."""
+defines is reached from outside itself, and every attribute a class's
+``__init__`` sets on ``self`` is read outside ``__init__``."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,21 @@ def attributes_in(node) -> set:
     return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
 
 
+def attributes_read(node) -> set:
+    """Every attribute name read, not assigned, under ``node``."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def instance_attributes(tree) -> list:
+    """(name, ``__init__``, class) of every ``self.<name> = …`` in a class's ``__init__``."""
+    return [(sub.attr, init, cls) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for init in cls.body if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for sub in ast.walk(init)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "self"]
+
+
 def definitions(tree) -> list:
     """(name, node, owner) of every non-dunder name a module defines.
 
@@ -74,7 +90,9 @@ def unreached_definitions() -> list:
     module names it, when ``__init__`` exports it, or when the acceptance
     tests import it.  A class member is reached only by an attribute access
     outside its class or from the other members of its class, so a local
-    variable of the same name does not keep it alive.
+    variable of the same name does not keep it alive.  An instance
+    attribute is reached only by an attribute read outside the ``__init__``
+    that sets it.
     """
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     exported = names_in(trees.pop("__init__.py"))
@@ -93,6 +111,11 @@ def unreached_definitions() -> list:
                            or any(name in names_in(m) for m in owner.body if m is not node))
             if not reached:
                 unreached.append(f"{module}:{owner.name + '.' if owner else ''}{name}")
+        for name, init, owner in instance_attributes(tree):
+            readers = [node for node, _, _ in statements if node is not owner]
+            readers += [m for m in owner.body if m is not init]
+            if not any(name in attributes_read(node) for node in readers):
+                unreached.append(f"{module}:{owner.name}.{name}")
     return unreached
 
 

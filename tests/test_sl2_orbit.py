@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -417,6 +418,9 @@ class TestOrbits:
         assert "diagrams" not in vars(orb)
         assert at == orb.diagrams == list(positions(orb))
         assert [(cycle[0], len(cycle)) for cycle in cusps(orb)] == list(zip(orb.starts, orb.ks))
+        # the cusps take consecutive positions from 0, and each one's first position holds its first member
+        assert orb.bases == list(accumulate(orb.ks[:-1], initial=0))
+        assert all(orb.diagram(b) == s for b, s in zip(orb.bases, orb.starts))
         for p in (-1, orb.index):
             with pytest.raises(IndexError):
                 orb.diagram(p)
@@ -580,6 +584,7 @@ class TestOrbitJson:
         assert sorted(min(map(back.key, c)) for c in cusps(back)) == sorted(
             min(map(orb.key, c)) for c in cusps(orb)
         )
+        assert all(back.diagram(b) == s for b, s in zip(back.bases, back.starts))
         assert orbit_to_json(back) == text
 
     def test_rejects_wrong_schema(self, named_orbit):
