@@ -441,13 +441,14 @@ def canonical_key(o: Origami) -> bytes:
     Any relabelling maps this set onto the start set of the relabelled
     surface.  From each start, squares are relabelled in breadth-first order
     over (right, up), which reaches every square because both are
-    permutations of a transitive pair; the key is the least of these
+    permutations of a transitive pair; the key is the least of these whole
     encodings.  So two origamis get equal keys iff they differ by a
-    simultaneous relabelling, and a key costs O(n).  The key is
-    self-describing: ``pack(">H", n)`` followed by the relabelled
-    (right, up) images, as bytes for n ≤ 255 and as ``>H`` words above (up
-    to n = 65535; a larger n raises ValueError); it decodes back to the
-    canonical representative via :func:`origami_from_key`.
+    simultaneous relabelling, and in H(2), with three starts, a key costs
+    O(n).  The key is self-describing: ``pack(">H", n)`` followed by the
+    relabelled (right, up) images as ``>H`` words, up to n = 65535 (a larger
+    n raises ValueError).  Big-endian words compare like their values, so
+    keys sort as their label lists do.  A key decodes back to the canonical
+    representative via :func:`origami_from_key`.
     """
     r, u = o.right, o.up
     n = len(r)
@@ -457,45 +458,22 @@ def canonical_key(o: Origami) -> bytes:
     starts = [u[r[y]] for y in _corners(r, u)] or range(n)
     best = None
     for s0 in starts:
-        # BFS and encoding fused: the pair for x is final once x is processed,
-        # so a candidate can be abandoned at its first label above `best`.
         lab = [-1] * n
         lab[s0] = 0
         order = [s0]
         flat = []
-        comparing = best is not None
         for x in order:
-            y = r[x]
-            b0 = lab[y]
-            if b0 < 0:
-                b0 = lab[y] = len(order)
-                order.append(y)
-            y = u[x]
-            b1 = lab[y]
-            if b1 < 0:
-                b1 = lab[y] = len(order)
-                order.append(y)
-            if comparing:
-                p = best[len(flat)]
-                if b0 != p:
-                    if b0 > p:
-                        break
-                    comparing = False
-                else:
-                    p = best[len(flat) + 1]
-                    if b1 != p:
-                        if b1 > p:
-                            break
-                        comparing = False
-            flat.append(b0)
-            flat.append(b1)
-        else:  # never abandoned: flat ≤ best
+            for y in (r[x], u[x]):
+                if lab[y] < 0:
+                    lab[y] = len(order)
+                    order.append(y)
+                flat.append(lab[y])
+        if best is None or flat < best:
             best = flat
     # a start reaches only its own component of a pair built with check=False
     if len(best) != 2 * n:
         raise ValueError("permutation pair is not transitive (disconnected surface)")
-    body = bytes(best) if n <= 0xFF else pack(f">{2 * n}H", *best)
-    return pack(">H", n) + body
+    return pack(f">H{2 * n}H", n, *best)
 
 
 def _key_images(key: bytes) -> tuple:
@@ -503,10 +481,9 @@ def _key_images(key: bytes) -> tuple:
     if len(key) < 2:
         raise ValueError("corrupt canonical key")
     (n,) = unpack(">H", key[:2])
-    body = key[2:]
-    if len(body) != (2 * n if n <= 0xFF else 4 * n):
+    if len(key) != 2 + 4 * n:
         raise ValueError("corrupt canonical key")
-    flat = body if n <= 0xFF else unpack(f">{2 * n}H", body)
+    flat = unpack(f">{2 * n}H", key[2:])
     return flat[0::2], flat[1::2]
 
 

@@ -40,8 +40,9 @@ from origami_h2.sl2_orbit import cusp_coordinates, quarter_turn, t_member
 # The library's key starts its breadth-first relabelling only at the squares
 # the commutator moves.  This reference starts it at every square, walks the
 # alphabet (right, up, right^-1, up^-1), and keeps the least encoding, so it
-# shares no start set, walk or early exit with the library.  Its bytes differ
-# from the library's; only the partition into equal keys must agree.
+# shares no start set or walk with the library.  Its bytes differ from the
+# library's, because it walks four directions from every square; only the
+# partition into equal keys must agree.
 
 
 def all_starts_key(o: Origami) -> bytes:

@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module, every
+"""Every package module imports only the standard library and its own
+package, every name a package module imports is used in that module, every
 function, class, module-level name and class member a package module
 defines is reached from outside itself, and every attribute a class's
 ``__init__`` sets on ``self`` is read outside ``__init__``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,27 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def foreign_imports(source: str) -> list:
+    """Absolute imports that name no standard-library module (``__future__`` is one)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    found = [f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py"))
+             for name in foreign_imports(p.read_text())]
+    assert found == []
 
 
 def names_in(node) -> set:

@@ -466,7 +466,7 @@ class TestCanonicalKey:
 class TestKeyDecoding:
     @pytest.mark.parametrize(
         "key",
-        [b"", b"\x00", b"\x00\x03\x01\x02", b"\x00\x03" + bytes(7), b"\x01\x2e" + bytes(4 * 302 - 2)],
+        [b"", b"\x00", b"\x00\x03\x01\x02", b"\x00\x03" + bytes(13), b"\x01\x2e" + bytes(4 * 302 - 2)],
         ids=["empty", "half-header", "short", "long", "wide-short"],
     )
     def test_corrupt_key_raises_value_error(self, key):
@@ -519,7 +519,7 @@ class TestKeyDecoding:
 
 
 class TestWideKey:
-    """n > 255 switches the labels from bytes to big-endian 16-bit words."""
+    """Every key stores its labels as big-endian 16-bit words, for small n as for n > 255."""
 
     @pytest.fixture(scope="class")
     def surface(self):
@@ -530,6 +530,8 @@ class TestWideKey:
         assert surface.n == 302
         assert key[:2] == (302).to_bytes(2, "big") and len(key) == 2 + 4 * 302
         assert canonical_key(origami_from_key(key)) == key
+        small = canonical_key(build_l_shape(2, 2))
+        assert small[:2] == (3).to_bytes(2, "big") and len(small) == 2 + 4 * 3
 
     def test_relabelling_invariance(self, surface):
         rng = random.Random(300)
