@@ -54,7 +54,7 @@ COUNTS_CSV_HEADER = "n,total,formula_total,a_count,a_formula,b_count,b_formula,m
 
 BAD_CASE_ROWS = (9, 15, 21, 27, 51)
 
-# counts 100 100 takes about 2.4 s and 17.5 MB max RSS (17.4 MB for counts 3 3)
+# counts 100 100 takes about 2.2 s and 16.3 MB max RSS (15.3 MB for counts 3 3)
 # on 2 cores; the limit caps what a single command may cost
 MAX_COUNTS_N = 100
 

@@ -41,6 +41,7 @@ from .origami_core import (
     _corners,
     _decompose,
     _perms,
+    _row_index,
     lattice_index,
     least_rotation,
     weierstrass_count,
@@ -115,15 +116,23 @@ def _candidates(n: int) -> Iterator[CylinderDiagram]:
 
 
 def _sweep(n: int) -> Iterator[CylinderDiagram]:
-    """Each candidate diagram, once checked on its laid-out permutations."""
+    """Each candidate diagram, once checked on its laid-out permutations.
+
+    A shape's twists come in a row and share one ``right`` tuple, so its row
+    index (:func:`_row_index`, n steps) is built only when ``r`` is not the
+    tuple last indexed; the index depends on that immutable tuple alone.
+    """
     if n < 3:
         raise ValueError("H(2) needs at least 3 squares")
+    indexed = rows = None
     for diag in _candidates(n):
         r, u = _perms(diag)
         corners = _corners(r, u)
         if len(corners) != 3:
             raise AssertionError(f"{diag} builds a surface with {len(corners)} corners")
-        found = _decompose(r, u, corners)
+        if r is not indexed:
+            indexed, rows = r, _row_index(r, range(n))
+        found = _decompose(r, u, corners, rows)
         index = lattice_index(found)
         if found != diag or index != 1:
             raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {index}")

@@ -345,88 +345,103 @@ def cylinder_decomposition(o: Origami) -> CylinderDiagram:
         raise MalformedSurfaceError("rigid row gluings form a cycle (flat torus)")
     if len(corners) != 3:
         raise ValueError("surface is not in H(2)")
-    return _decompose(o.right, o.up, corners)
+    return _decompose(o.right, o.up, corners, _row_index(o.right, corners))
 
 
-def _decompose(r, u, corners) -> CylinderDiagram:
-    """The cylinder diagram of the H(2) pair (r, u) with the given three corners.
+def _row_index(r, squares) -> tuple:
+    """(cycle, place, lengths) of the r-cycles through ``squares``, walked once.
 
-    A cylinder's top row holds a corner; the other rows glue rigidly to the
-    row above.  Each top row is walked once from a break q = r(corner), the
-    first square after a cut, into one place array: the first row walked
-    takes places [0, w), the second [w, w + w′).  The rest is read off by
-    climbing single columns from the bottom squares u(q) to the next top
-    row, so the cost is the top rows' length plus the heights.
-
-    One cylinder: the first break q is position 0, the arcs between the
-    cuts from q are (l1, l2, l3), and the twist is where u(q) lands on the
-    bottom row, measured from the column under q, less l2 + l3 (≡ plus l1
-    mod w); the normal form is the least rotation of that reading.  Two
-    cylinders: the narrow top row holds one break q1, and u(q1) is the wide
-    bottom row's position 0.  Of the wide top row's two breaks, the one
-    whose up-image climbs into the narrow cylinder, q2, lands on the narrow
-    bottom row's position 0.  t1 and t2 are the positions of q1 and q2
-    counted from the top of the column climbed from their cylinder's
-    position 0: place differences within one row.
+    A square on them gets its cycle's number and its place from where the
+    walk entered the cycle, any other square cycle −1.  Over ``range(n)`` one
+    index serves all layouts of a shape, as they share ``right`` (the census
+    sweep); over the three corners it walks just the top rows.
     """
-    n = len(r)
-    breaks = [r[y] for y in corners]
-    place = [-1] * n  # place along the walked top rows, -1 below the tops
-    ends = []  # the place after each walked row
-    k = 0
-    for q in breaks:
-        if place[q] < 0:
-            x = q
-            while place[x] < 0:
+    cycle = [-1] * len(r)
+    place = [0] * len(r)
+    lengths = []
+    for s in squares:
+        if cycle[s] < 0:
+            c = len(lengths)
+            x, k = s, 0
+            while cycle[x] < 0:
+                cycle[x] = c
                 place[x] = k
                 k += 1
                 x = r[x]
-            ends.append(k)
-    if len(ends) == 1:
-        p1, p2 = place[breaks[1]], place[breaks[2]]
+            lengths.append(k)
+    return cycle, place, lengths
+
+
+def _decompose(r, u, corners, rows) -> CylinderDiagram:
+    """The cylinder diagram of the H(2) pair (r, u) with the given three corners.
+
+    ``rows`` is :func:`_row_index` of r over squares that include the
+    corners, whose cycles are the top rows.  Offsets along a row are place
+    differences modulo its length, and columns are climbed from a bottom
+    square u(q) to the next top row, so beyond the index a call costs the heights.
+
+    One cylinder: the first break q = r(corner) is position 0, the arcs
+    between the cuts from q are (l1, l2, l3), and the twist is where u(q)
+    lands on the bottom row, measured from the column under q, less l2 + l3
+    (≡ plus l1 mod w); the normal form is the least rotation of that
+    reading.  Two cylinders: the narrow top row holds one break q1, and
+    u(q1) is the wide bottom row's position 0.  Of the wide top row's two
+    breaks, the one whose up-image climbs into the narrow cylinder, q2,
+    lands on the narrow bottom row's position 0.  t1 and t2 are the
+    positions of q1 and q2 counted from the top of the column climbed from
+    their cylinder's position 0.
+    """
+    cycle, place, lengths = rows
+    n = len(r)
+    q0, q1, q2 = r[corners[0]], r[corners[1]], r[corners[2]]
+    c0, c1, c2 = cycle[q0], cycle[q1], cycle[q2]
+    if c0 == c1 == c2:
+        k = lengths[c0]
+        b = place[q0]
+        p1, p2 = (place[q1] - b) % k, (place[q2] - b) % k
         if p2 < p1:
             p1, p2 = p2, p1
-        x = u[breaks[0]]
+        x = u[q0]
         for h in range(1, n + 1):
-            if place[x] >= 0:
+            if cycle[x] == c0:
                 break
             x = u[x]
         else:
             raise MalformedSurfaceError("rigid row gluings form a cycle")
         if k * h != n:
             raise MalformedSurfaceError("row gluing structure is inconsistent")
-        return least_rotation(OneCylinder(p1, p2 - p1, k - p2, (place[x] + p1) % k, h))
-    if len(ends) != 2:
-        raise MalformedSurfaceError(f"{len(ends)} cylinders; H(2) allows only 1 or 2")
-    wa = ends[0]
-    if 2 * wa == k:
+        return least_rotation(OneCylinder(p1, p2 - p1, k - p2, (place[x] - b + p1) % k, h))
+    # the lone break's row is the narrow one, the other two breaks share a row
+    if c0 == c1:
+        cn, cw, q1, wide = c2, c0, q2, (q0, q1)
+    elif c0 == c2:
+        cn, cw, wide = c1, c0, (q0, q2)
+    elif c1 == c2:
+        cn, cw, q1, wide = c0, c1, q0, (q1, q2)
+    else:
+        raise MalformedSurfaceError("3 cylinders; H(2) allows only 1 or 2")
+    w1, w2 = lengths[cn], lengths[cw]
+    if w1 == w2:
         raise MalformedSurfaceError("two cylinders of equal width cannot occur in H(2)")
-    # the narrow row holds the places [lo, hi)
-    w1, w2, lo, hi = (wa, k - wa, 0, wa) if 2 * wa < k else (k - wa, wa, wa, k)
-    narrow_breaks = [q for q in breaks if lo <= place[q] < hi]
-    if len(narrow_breaks) != 1:
+    if w1 > w2:
         raise MalformedSurfaceError("the narrow cylinder's top must hold one corner")
-    q1 = narrow_breaks[0]
-    a2, h2 = _climb(u, place, u[q1])
-    for q2 in breaks:
-        if q2 != q1:
-            a1, h1 = _climb(u, place, u[q2])
-            if lo <= place[a1] < hi:
+    for i, q in enumerate((q1, *wide)):
+        x = u[q]
+        for h in range(1, n + 1):
+            if cycle[x] == cn or cycle[x] == cw:
                 break
+            x = u[x]
+        else:
+            raise MalformedSurfaceError("rigid row gluings form a cycle")
+        if not i:
+            a2, h2 = x, h
+        elif cycle[x] == cn:
+            break  # x is on the narrow top row, h rows up: h1
     else:
         raise MalformedSurfaceError("the wide cylinder does not glue into the narrow one")
-    if h1 * w1 + h2 * w2 != n:
+    if h * w1 + h2 * w2 != n:
         raise MalformedSurfaceError("row gluing structure is inconsistent")
-    return TwoCylinder(h1, h2, w1, w2, (place[q1] - place[a1]) % w1, (place[q2] - place[a2]) % w2)
-
-
-def _climb(u, place, x) -> tuple:
-    """(first top-row square at or above x, number of rows from x up to it)."""
-    for h in range(1, len(u) + 1):
-        if place[x] >= 0:
-            return x, h
-        x = u[x]
-    raise MalformedSurfaceError("rigid row gluings form a cycle")
+    return TwoCylinder(h, h2, w1, w2, (place[q1] - place[x]) % w1, (place[q] - place[a2]) % w2)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .origami_core import (
     _inverse,
     _key_images,
     _layout,
+    _row_index,
     build_from_diagram,
     canonical_key,
     cylinder_decomposition,
@@ -252,7 +253,7 @@ def reflect(diag: CylinderDiagram) -> CylinderDiagram:
 def transpose(diag: CylinderDiagram) -> CylinderDiagram:
     """τ = [[0,1],[1,0]] on a diagram: its layout decomposed as (up, right), with the same corners."""
     right, up, corners = _layout(diag)
-    return _decompose(up, right, corners)
+    return _decompose(up, right, corners, _row_index(up, corners))
 
 
 def quarter_turn(diag: CylinderDiagram) -> CylinderDiagram:

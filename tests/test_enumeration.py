@@ -18,6 +18,7 @@ from origami_h2.enumeration import (
 )
 from origami_h2.origami_core import (
     InvalidSurfaceError,
+    MalformedSurfaceError,
     OneCylinder,
     TwoCylinder,
     build_from_diagram,
@@ -200,6 +201,38 @@ class TestCornerScans:
 
         monkeypatch.setattr(enumeration, "enumerate_diagrams", no_census)
         assert all(rep.match for rep in verify_counts(3, 12))
+
+
+class TestRowIndexReuse:
+    def test_one_row_index_per_shape(self, monkeypatch):
+        calls = []
+        real = enumeration._row_index
+
+        def counting(r, squares):
+            calls.append(r)
+            return real(r, squares)
+
+        monkeypatch.setattr(enumeration, "_row_index", counting)
+        assert sum(1 for _ in enumeration._sweep(12)) == formula_total(12)
+        shapes = {enumeration._perms(d)[0] for d in enumeration._candidates(12)}
+        # every two-cylinder shape and the one-cylinder shape (12, 1)
+        assert len(shapes) == len(list(enumeration._two_cylinder_shapes(12))) + 1
+        assert len(calls) == len(set(calls)) == len(shapes)
+
+    def test_a_stale_row_index_is_caught(self, monkeypatch):
+        # the first shape's index read for every candidate puts the second
+        # shape's corners on three different rows
+        real = enumeration._row_index
+        first = []
+
+        def stale(r, squares):
+            if not first:
+                first.append(real(r, squares))
+            return first[0]
+
+        monkeypatch.setattr(enumeration, "_row_index", stale)
+        with pytest.raises(MalformedSurfaceError, match="3 cylinders"):
+            enumerate_diagrams(7)
 
 
 class TestClassify:

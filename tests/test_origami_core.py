@@ -34,6 +34,7 @@ from origami_h2.origami_core import (
     _is_transitive,
     _layout,
     _perms,
+    _row_index,
     _shape,
     build_from_diagram,
     build_l_shape,
@@ -314,7 +315,7 @@ class TestDecomposition:
         # _decompose trusts its caller's corners (transpose passes the
         # laid-out corners); corners 0, 1, 2 of these pairs are no H(2) corners
         with pytest.raises(MalformedSurfaceError, match=match):
-            _decompose(r, u, [0, 1, 2])
+            _decompose(r, u, [0, 1, 2], _row_index(r, [0, 1, 2]))
 
 
 class TestDecompositionOracles:
@@ -348,6 +349,27 @@ class TestDecompositionOracles:
                 assert canonical_key(build_from_diagram(found)) == canonical_key(o)
                 tall += isinstance(diag, OneCylinder) and diag.h > 1
                 imprimitive += not is_primitive(o)
+        assert tall and imprimitive
+
+    def test_either_row_index_gives_the_diagram(self):
+        # every tuple up to n = 16, laid out as (r, u) and transposed as
+        # (u, r) with the same corners: an index of every row and one of the
+        # top rows alone give the tuple's diagram, and the transpose's
+        # diagram rebuilds (u, r)
+        tall = imprimitive = 0
+        for n in range(3, 17):
+            diags = [TwoCylinder(*t) for t in all_two_cylinder_tuples(n)]
+            diags += [OneCylinder(*t) for t in all_one_cylinder_tuples(n)]
+            for diag in diags:
+                r, u, corners = _layout(diag)
+                want = diag if isinstance(diag, TwoCylinder) else least_rotation(*diag)
+                turned = cylinder_decomposition(Origami(u, r))
+                assert canonical_key(build_from_diagram(turned)) == canonical_key(Origami(u, r))
+                for a, b, found in ((r, u, want), (u, r, turned)):
+                    for squares in (range(n), corners):
+                        assert _decompose(a, b, corners, _row_index(a, squares)) == found, diag
+                tall += isinstance(diag, OneCylinder) and diag.h > 1
+                imprimitive += lattice_index(want) != 1
         assert tall and imprimitive
 
     def test_errors_over_every_transitive_pair_up_to_5(self):
