@@ -162,16 +162,16 @@ def apply_matrix(o: Origami, m: MatrixZ) -> Origami:
 
 
 def u_orbit_width(o: Origami) -> int:
-    """Least k ≥ 1 with T^k·o canonically equal to o: the cusp width at o."""
+    """Least k ≥ 1 with T^k·o canonically equal to o: the cusp width at o.
+
+    T commutes with relabelling, so such k are the multiples of the width; T^k sends
+    up to up∘right^{−k}, so it divides L = ord(right).  Each p ≤ n divides out while the key holds.
+    """
     base = canonical_key(o)
-    cur = apply_T(o)
-    k = 1
-    limit = 4 * o.n * o.n
-    while canonical_key(cur) != base:
-        cur = apply_T(cur)
-        k += 1
-        if k > limit:
-            raise RuntimeError("runaway shear orbit; surface is not in H(2)?")
+    k = lcm(*map(len, _cycles(o.right)))
+    for p in range(2, o.n + 1):
+        while k % p == 0 and canonical_key(_apply_t_power(o, k // p)) == base:
+            k //= p
     return k
 
 

@@ -266,17 +266,47 @@ class TestVerify:
 
     def test_orbits_must_be_the_census_as_a_set(self, capsys, monkeypatch):
         # one diagram swapped for an 8-square one: every size still agrees
-        real = enumeration.enumerate_diagrams
+        real = enumeration._candidates
 
         def swapped(n):
-            diagrams = real(n)
+            diagrams = set(real(n))
             diagrams.remove(min(diagrams))
             return diagrams | {origami_core.TwoCylinder(1, 1, 1, 7, 0, 0)}
 
-        monkeypatch.setattr(cli, "enumerate_diagrams", swapped)
+        monkeypatch.setattr(cli, "_candidates", swapped)
         rc, out, _ = run(capsys, "verify", "orbits", "7")
         assert rc == 1
         assert out.splitlines()[-1] == "FAIL n=7: A=54 + B=36 vs total 90"
+
+    def test_orbits_run_no_census_sweep(self, capsys, monkeypatch):
+        # the layout check of every tuple belongs to counts, not to verify orbits
+        def no_sweep(n):
+            raise AssertionError(f"census sweep at n={n}")
+
+        monkeypatch.setattr(enumeration, "_sweep", no_sweep)
+        rc, out, _ = run(capsys, "verify", "orbits", "7")
+        assert rc == 0
+        assert out.splitlines() == [
+            "ok n=3: A=3 vs total 3",
+            "ok n=4: C=9 vs total 9",
+            "ok n=5: A=18 + B=9 vs total 27",
+            "ok n=6: C=36 vs total 36",
+            "ok n=7: A=54 + B=36 vs total 90",
+        ]
+
+    def test_invariant_computes_odd_orbits_only(self, capsys, monkeypatch):
+        sizes = []
+        real = cli.orbit
+
+        def counting(o):
+            sizes.append(o.n)
+            return real(o)
+
+        monkeypatch.setattr(cli, "orbit", counting)
+        rc, _, _ = run(capsys, "verify", "invariant", "8")
+        assert rc == 0
+        # A3, A5, B5, A7, B7: no C orbit is computed for the odd-only suite
+        assert sorted(sizes) == [3, 5, 5, 7, 7]
 
     def test_rejects_tiny_n_max(self, capsys):
         rc, _, err = run(capsys, "verify", "levels", "2")

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import accumulate
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,39 @@ class TestCuspWidths:
     def test_two_cylinder_lcm_width(self):
         # lcm(3/gcd(2,3), 8/gcd(3,8)) = lcm(3, 8)
         assert u_orbit_width(build_two_cylinder(2, 3, 3, 8, 2, 1)) == 24
+
+    @staticmethod
+    def omega(m: int) -> int:
+        """The number of prime factors of m, with multiplicity."""
+        count, p = 0, 2
+        while m > 1:
+            while m % p == 0:
+                m //= p
+                count += 1
+            p += 1
+        return count
+
+    @pytest.mark.parametrize(
+        "o,width",
+        [
+            (build_two_cylinder(1, 1, 5, 12, 0, 0), 60),
+            (build_one_cylinder(1, 1, 17, 0, 1), 19),
+            (build_l_shape(3, 20), 20),
+            (build_two_cylinder(2, 3, 2, 9, 0, 0), 3),
+        ],
+        ids=["2cyl(1,1,5,12,0,0)", "1cyl(1,1,17;0;1)", "L(3,20)", "2cyl(2,3,2,9,0,0)"],
+    )
+    def test_width_by_order_finding_makes_few_keys(self, monkeypatch, o, width):
+        # the width W divides L = ord(right): one key for o, one per prime taken
+        # out of L down to W, and one failing key per p <= n that divides W;
+        # a key per shear makes W + 1 of them
+        calls = []
+        real = sl2_orbit.canonical_key
+        monkeypatch.setattr(sl2_orbit, "canonical_key", lambda s: calls.append(s) or real(s))
+        ell = lcm(*map(len, origami_core._cycles(o.right)))
+        assert u_orbit_width(o) == width
+        divisors_of_width = sum(width % p == 0 for p in range(2, o.n + 1))
+        assert len(calls) <= 1 + self.omega(ell) - self.omega(width) + divisors_of_width
 
 
 class TestApplyMatrix:
