@@ -28,8 +28,8 @@ and each S-edge x–y onto ρx–ρy.  The orbit reads S through the mirror:
 for z = τx it records S(x) = ρz and S(ρx) = ρS(x) = z, and as it turns
 only when nothing is left to infer, it makes about 0.1 turns per
 surface.  The lcm of the cusp widths is the level of the stabiliser, and
-an arbitrary unimodular matrix acts through its Euclidean factorisation
-into a word in T and S.
+an arbitrary unimodular matrix acts as Euclid factors it, S⁻¹·T^q at a
+time (:func:`apply_matrix`).
 """
 
 from __future__ import annotations
@@ -126,39 +126,23 @@ def _apply_t_power(o: Origami, q: int) -> Origami:
     return Origami(o.right, tuple(o.up[j] for j in rq), check=False)
 
 
-def _generator_word(m: MatrixZ) -> list:
-    """m as a left-to-right word of ('T', q) and ('S', ±1) factors.
+def apply_matrix(o: Origami, m: MatrixZ) -> Origami:
+    """Act by an arbitrary unimodular matrix (left action), one factor at a time.
 
-    Peels factors by the Euclidean algorithm on the first column: while
-    c ≠ 0, m = T^q · S⁻¹ · (S·T^{−q}·m) with q = a // c strictly reducing
-    |c|; the terminal upper-triangular matrix is T^b or S·S·T^{−b}.
+    Euclid on the bottom row peels m = m′·S⁻¹·T^q off the right with
+    q = d // c, so m′ = m·T^{−q}·S = [[q·a − b, a], [q·c − d, c]] and
+    |q·c − d| < |c|; S⁻¹·T^q acts on o at once.  At c = 0, m = a·T^{a·b},
+    and −I acts as S².
     """
     a, b, c, d = m
     if a * d - b * c != 1:
         raise ValueError(f"matrix {tuple(m)} is not unimodular")
-    word = []
     while c:
-        q = a // c
-        word.append(("T", q))
-        word.append(("S", -1))
-        a, b, c, d = c, d, q * c - a, q * d - b
-    if a == 1:
-        word.append(("T", b))
-    else:
-        word.append(("S", 1))
-        word.append(("S", 1))
-        word.append(("T", -b))
-    return word
-
-
-def apply_matrix(o: Origami, m: MatrixZ) -> Origami:
-    """Act by an arbitrary unimodular matrix (left action)."""
-    for op, v in reversed(_generator_word(MatrixZ(*m))):
-        if op == "S":
-            o = apply_S(o) if v > 0 else apply_S_inverse(o)
-        else:
-            o = _apply_t_power(o, v)
-    return o
+        q = d // c
+        o = apply_S_inverse(_apply_t_power(o, q))
+        a, b, c, d = q * a - b, a, q * c - d, c
+    o = _apply_t_power(o, a * b)
+    return o if a == 1 else apply_S(apply_S(o))
 
 
 def u_orbit_width(o: Origami) -> int:
@@ -338,13 +322,12 @@ def orbit(o: Origami) -> Orbit:
     """Closure of {o} under T and S, on the positions of its cylinder diagrams.
 
     Diagrams are numbered as they are found, a whole cusp at a time, so T
-    and T⁻¹ are index arithmetic.  No cusp is listed: the first member seen
-    of a cusp takes the next k positions from its base (``Orbit.bases``),
-    and any other member's position is read off its
-    :func:`cusp_coordinates`, base + (j − j0) mod k.  A quarter turn bisects
-    the bases for its input's cusp and builds that input alone
-    (:func:`t_member`).  The closure
-    walks one f-cycle a → b → c → a at a time, f = S∘T, with f³ = 1 because
+    is index arithmetic.  No cusp is listed: the first member seen of a cusp
+    takes the next k positions from its base (``Orbit.bases``), and any
+    other member's position is read off its :func:`cusp_coordinates`,
+    base + (j − j0) mod k.  A quarter turn bisects the bases for its input's
+    cusp and builds that input alone (:func:`t_member`).  The closure walks
+    one f-cycle a → b → c → a at a time, f = S∘T, with f³ = 1 because
     (S·T)³ = I (see the module docstring).  Its S-edges are T(a)–b, T(b)–c
     and T(c)–a.  The start is turned first, and every other a taken up is
     T(x) for x on a closed f-cycle, whose edge T(x)–f(x) is stored, so
@@ -358,19 +341,23 @@ def orbit(o: Origami) -> Orbit:
 
     A cusp is numbered together with its mirror: ρ(T^j·d) = T^{−j}(ρd), so
     one :func:`reflect` per cusp places every mirror, the cusp itself when
-    ρd = T^{e0}·d.  A turn decomposes only z = τx (:func:`transpose`) and
-    reads S(x) = ρz and S(ρx) = z off those mirrors.  Each H(2) orbit is
-    ρ-invariant (n and the integer Weierstrass count, both ρ-invariant,
-    tell the orbits apart: Hubert–Lelièvre), but the closure does not trust
-    the mirror: a mirror cusp it never reaches, or mirrors that do not
-    commute with S, raise RuntimeError.  No canonical key is computed.
+    ρd = T^{e0}·d.  Each mirror cusp is numbered in reverse T-order
+    (:func:`_reversed_cusp`), so ρ∘T∘ρ = T⁻¹ holds on positions by
+    construction, whatever the mirror's geometry, and the closure reads T⁻¹
+    through the mirror instead of storing it.  A turn decomposes only
+    z = τx (:func:`transpose`) and reads S(x) = ρz and S(ρx) = z off those
+    mirrors.  Each H(2) orbit is ρ-invariant (n and the integer Weierstrass
+    count, both ρ-invariant, tell the orbits apart: Hubert–Lelièvre), but
+    the closure does not trust the mirror: a mirror cusp it never reaches,
+    or mirrors that do not commute with S, raise RuntimeError.  No
+    canonical key is computed.
     """
     start = cylinder_decomposition(o)
     if lattice_index(start) != 1:
         raise ValueError("orbit computation expects a primitive surface")
     cusps = {}  # cusp id -> (first position, width, offset of the first member seen)
     starts, ks, bases = [], [], []  # each cusp's first member, width and first position
-    t_perm, t_inv, s_perm, r_perm = [], [], [], []
+    t_perm, s_perm, r_perm = [], [], []
     closed = bytearray()  # positions whose f-cycle is walked
 
     def number(diag: CylinderDiagram, cusp: tuple, k: int, j: int) -> int:
@@ -381,7 +368,6 @@ def orbit(o: Origami) -> Orbit:
         ks.append(k)
         bases.append(base)
         t_perm.extend([*range(base + 1, base + k), base])
-        t_inv.extend([base + k - 1, *range(base, base + k - 1)])
         s_perm.extend([-1] * k)
         closed.extend(bytes(k))
         return base
@@ -423,14 +409,14 @@ def orbit(o: Origami) -> Orbit:
         if closed[a]:
             continue
         ta, tc = t_perm[a], s_perm[a]
-        c = t_inv[tc]
+        c = r_perm[t_perm[r_perm[tc]]]
         b = s_perm[ta]
         if b < 0:
             sc = s_perm[c]
             if sc < 0 and not turning:
                 later.append(a)
                 continue
-            b = turn(ta) if sc < 0 else t_inv[sc]
+            b = turn(ta) if sc < 0 else r_perm[t_perm[r_perm[sc]]]
             s_perm[ta], s_perm[b] = b, ta
         tb = t_perm[b]
         s_perm[tb], s_perm[c] = c, tb

@@ -307,13 +307,17 @@ class TestDecomposition:
             ((1, 0, 3, 4, 2), (0, 1, 2, 3, 4), "must hold one corner"),
             ((0, 2, 1), (0, 1, 2), "does not glue into the narrow one"),
             ((1, 2, 0, 3), (0, 1, 2, 3), "row gluing structure is inconsistent"),
+            ((1, 2, 0, 3), (0, 3, 1, 3), "rigid row gluings form a cycle"),
+            ((1, 0, 2, 3), (0, 1, 3, 3), "rigid row gluings form a cycle"),
         ],
         ids=["three-rows", "equal-widths", "narrow-two-breaks", "no-narrow-gluing",
-             "one-row-short"],
+             "one-row-short", "one-cylinder-climb-cycles", "two-cylinder-climb-cycles"],
     )
     def test_corners_from_outside_the_scan_raise(self, r, u, match):
         # _decompose trusts its caller's corners (transpose passes the
-        # laid-out corners); corners 0, 1, 2 of these pairs are no H(2) corners
+        # laid-out corners); corners 0, 1, 2 of these pairs are no H(2) corners,
+        # and in the last two up is no permutation: its climb from a corner
+        # never reaches a top row
         with pytest.raises(MalformedSurfaceError, match=match):
             _decompose(r, u, [0, 1, 2], _row_index(r, [0, 1, 2]))
 

@@ -1,5 +1,7 @@
 import json
 import random
+import tracemalloc
+from functools import reduce
 from itertools import accumulate
 from math import lcm
 from pathlib import Path
@@ -386,20 +388,28 @@ class TestApplyMatrix:
         assert (-IDENTITY) == MatrixZ(-1, 0, 0, -1)
 
     def test_group_law_on_random_words(self):
+        # words of up to 8 letters over T^{±1} and S^{±1}, then words of up to 40
+        # letters that also hold T^q with 2 <= |q| <= 9, stepped as |q| single
+        # shears, so apply_matrix meets large quotients and long descents
         rng = random.Random(11)
         bases = (build_l_shape(2, 4), build_l_shape(3, 3), build_one_cylinder(1, 6, 2, 0, 1))
         gens = {"T": (T, apply_T), "t": (MatrixZ(1, -1, 0, 1), apply_T_inverse),
                 "S": (S, apply_S), "s": (MatrixZ(0, -1, 1, 0), apply_S_inverse)}
-        for o in bases:
-            for _ in range(200 // len(bases) + 1):
-                word = [rng.choice("TtSs") for _ in range(rng.randint(1, 8))]
-                m = IDENTITY
-                stepped = o
-                for letter in reversed(word):  # apply right-to-left like the product
-                    stepped = gens[letter][1](stepped)
-                for letter in word:
-                    m = m @ gens[letter][0]
-                assert canonical_key(apply_matrix(o, m)) == canonical_key(stepped)
+        powers = [*range(-9, -1), *range(2, 10)]
+        for q in powers:
+            gens[q] = (t_power(q), lambda o, q=q: reduce(
+                lambda s, _: apply_T(s) if q > 0 else apply_T_inverse(s), range(abs(q)), o))
+        rounds = [(o, "TtSs", 8) for o in bases for _ in range(200 // len(bases) + 1)]
+        rounds += [(o, [*"TtSs", *powers], 40) for o in bases for _ in range(30)]
+        for o, letters, longest in rounds:
+            word = [rng.choice(letters) for _ in range(rng.randint(1, longest))]
+            m = IDENTITY
+            stepped = o
+            for letter in reversed(word):  # apply right-to-left like the product
+                stepped = gens[letter][1](stepped)
+            for letter in word:
+                m = m @ gens[letter][0]
+            assert canonical_key(apply_matrix(o, m)) == canonical_key(stepped)
 
 
 class TestMembership:
@@ -496,6 +506,19 @@ class TestOrbits:
     def test_base_key_is_orbit_minimum(self, named_orbit):
         orb = named_orbit("C", 4)
         assert orb.base_key == min(orb.surfaces)
+
+    def test_closure_memory_budget(self):
+        # B61's 40 455 positions: the closure's lists (t_perm, s_perm, r_perm,
+        # closed) and its cusp table, traced once the per-shape layout memo is warm
+        o = seed_surface("B", 61)
+        orbit(o)
+        tracemalloc.start()
+        try:
+            orbit(o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.2 * 2**20
 
 
 def all_turns_perms(orb, o) -> tuple:
