@@ -14,7 +14,7 @@ All index arithmetic is exact integer work on prime factorisations:
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .origami_core import origami_from_key
@@ -65,18 +65,10 @@ def _primes_upto(limit: int) -> list:
 
 
 def lcm_upto(n: int) -> FactoredInteger:
-    """lcm(1, 2, .., n) built directly as ∏ p^⌊log_p n⌋."""
+    """lcm(1, 2, .., n) = ∏ p^⌊log_p n⌋, factorised."""
     if n < 1:
         raise ValueError("lcm_upto needs n >= 1")
-    factors = []
-    value = 1
-    for p in _primes_upto(n):
-        e = 1
-        while p ** (e + 1) <= n:
-            e += 1
-        factors.append((p, e))
-        value *= p**e
-    return FactoredInteger(value, tuple(factors))
+    return factorize(lcm(*range(1, n + 1)))
 
 
 def coprime_part(a: int, b: int) -> int:
@@ -250,7 +242,8 @@ class NoncongruenceCertificate(NamedTuple):
 def verify_certificate(cert: NoncongruenceCertificate) -> None:
     """Re-derive every certificate invariant; raise RuntimeError on failure."""
     ok = (
-        cert.level % cert.m == 0
+        min(cert.k, cert.k_prime, cert.d, cert.level, cert.m) >= 1
+        and cert.level % cert.m == 0
         and gcd(cert.m, cert.k * cert.k_prime) == 1
         and gcd(cert.m, cert.level // cert.m) == 1
         and cert.delta == principal_index(cert.level // cert.m)

@@ -46,6 +46,7 @@ from .origami_core import (
     least_rotation,
     weierstrass_count,
 )
+from .sl2_orbit import _twist_modulus
 
 
 class CountReport(NamedTuple):
@@ -103,16 +104,13 @@ def _candidates(n: int) -> Iterator[CylinderDiagram]:
             if gcd(gcd(l1, l2), l3) != 1:
                 continue
             # keep one tuple per rotation class; the oracle tests pin that the
-            # rotation is the full overcount.  Unless l1 = l2 = l3, the lengths
-            # alone decide which reading is least, so most compositions are
-            # skipped whole.
+            # rotation is the full overcount.  Unequal lengths alone decide which
+            # reading is least, so most compositions are skipped whole; equal
+            # lengths l pass the gcd test only at l = 1, where the one twist is 0.
             if least_rotation(OneCylinder(l1, l2, l3, 0, 1))[:3] != (l1, l2, l3):
                 continue
-            for t in range(n):
-                diag = OneCylinder(l1, l2, l3, t, 1)
-                if l1 == l2 == l3 and least_rotation(diag) != diag:
-                    continue
-                yield diag
+            for t in range(_twist_modulus(l1, l2, l3)):
+                yield OneCylinder(l1, l2, l3, t, 1)
 
 
 def _sweep(n: int) -> Iterator[CylinderDiagram]:

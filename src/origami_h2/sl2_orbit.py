@@ -434,11 +434,6 @@ def level(orb: Orbit) -> int:
     return lcm(*orb.cusp_widths)
 
 
-def _cusps(orb: Orbit, keys: list) -> list:
-    """(least key on the T-cycle, width) of each cusp, sorted, from the key at each position."""
-    return sorted((min(keys[b:b + k]), k) for b, k in zip(orb.bases, orb.ks))
-
-
 def orbit_to_json(orb: Orbit) -> str:
     """Deterministic JSON form (stable ordering, no whitespace).
 
@@ -449,6 +444,7 @@ def orbit_to_json(orb: Orbit) -> str:
     order = sorted(range(orb.index), key=keys.__getitem__)
     rank_of = {keys[p]: i for i, p in enumerate(order)}  # key -> place in key order
     rank = list(map(rank_of.__getitem__, keys))  # position -> place in key order
+    cusps = sorted((min(keys[b:b + k]), k) for b, k in zip(orb.bases, orb.ks))
     doc = {
         "schema_version": ORBIT_SCHEMA_VERSION,
         "n": orb.n,
@@ -456,7 +452,7 @@ def orbit_to_json(orb: Orbit) -> str:
         "surfaces": [key_to_text(keys[p]) for p in order],
         "t_edges": [rank[orb.t_perm[p]] for p in order],
         "s_edges": [rank[orb.s_perm[p]] for p in order],
-        "cusps": [{"rep": rank_of[k], "width": w} for k, w in _cusps(orb, keys)],
+        "cusps": [{"rep": rank_of[least], "width": k} for least, k in cusps],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -476,13 +472,16 @@ def _index(value, size: int) -> int:
 
 
 def orbit_from_json(text: str) -> Orbit:
-    """Parse and fully re-validate an orbit document.
+    """Parse and fully re-validate an orbit document, and return :func:`orbit` of its base key.
 
     Every surface text is checked once to be the canonical form of a valid
     surface; edges and cusp representatives must be plain in-range indices.
-    The edges are carried over to the surfaces' cylinder diagrams, which
-    builds the same :class:`Orbit` as :func:`orbit`, and must be the shear
-    and the quarter turn of those diagrams.  Any malformed document raises
+    Each T-edge must be the shear and each S-edge the quarter turn of the
+    surfaces' cylinder diagrams, so the listed set is closed under T and S
+    and holds the base key's orbit: :func:`orbit` then computes at most as
+    many positions as the document lists, and it must compute them all.  A
+    surface listed without its images (one of large n, say) fails the edge
+    checks before any orbit is computed.  Any malformed document raises
     ValueError.
     """
     try:
@@ -515,30 +514,23 @@ def orbit_from_json(text: str) -> Orbit:
         return targets
 
     t_next, s_next = resolve("t"), resolve("s")
-    cycles = _cycles(t_next)
-    # the cusps take consecutive positions, as in orbit()
-    order = [i for cycle in cycles for i in cycle]
-    rank = _inverse(order)
-    base_key = key_from_text(_field(doc, "base_key", str))
-    orb = Orbit(_field(doc, "n", int), [diagrams[cycle[0]] for cycle in cycles],
-                [len(cycle) for cycle in cycles], [rank[cycle[0]] for cycle in cycles],
-                [rank[t_next[i]] for i in order], [rank[s_next[i]] for i in order])
-    # the Orbit regenerates each cusp from its first member by the shear
-    at = orb.diagrams
-    if at != [diagrams[i] for i in order]:
+    if any(diagrams[i] != t_member(d, 1) for d, i in zip(diagrams, t_next)):
         raise ValueError("T-edges disagree with the shear of the surfaces")
-    if [at[p] for p in orb.s_perm] != list(map(quarter_turn, at)):
+    if any(diagrams[i] != quarter_turn(d) for d, i in zip(diagrams, s_next)):
         raise ValueError("S-edges disagree with the quarter turn of the surfaces")
-    keys = list(map(orb.key, at))
-    if min(keys, default=None) != base_key:
+    base_key = key_from_text(_field(doc, "base_key", str))
+    if min(surfaces, default=None) != base_key:
         raise ValueError("base key is not the orbit's canonical representative")
-    if len(_key_images(base_key)[0]) != orb.n:
+    if len(_key_images(base_key)[0]) != _field(doc, "n", int):
         raise ValueError("stored n disagrees with the keys")
     stored = []
     for cusp in _field(doc, "cusps", list):
         if type(cusp) is not dict or type(cusp.get("width")) is not int:
             raise ValueError("malformed cusp entry")
         stored.append((surfaces[_index(cusp.get("rep"), size)], cusp["width"]))
-    if stored != _cusps(orb, keys):
+    if stored != sorted((min(surfaces[i] for i in c), len(c)) for c in _cycles(t_next)):
         raise ValueError("stored cusps disagree with the edge structure")
+    orb = orbit(Origami(*_key_images(base_key), check=False))
+    if orb.index != size:
+        raise ValueError(f"the {size} surfaces hold an orbit of {orb.index}")
     return orb

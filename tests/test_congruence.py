@@ -289,6 +289,10 @@ class TestCertificates:
             verify_certificate(cert._replace(m=1))
         with pytest.raises(RuntimeError):
             verify_certificate(cert._replace(d=cert.delta))
+        # a zero modulus or index is refused, not divided by
+        for zero in ("m", "d"):
+            with pytest.raises(RuntimeError, match="certificate arithmetic"):
+                verify_certificate(cert._replace(**{zero: 0}))
         # arithmetic still consistent, but T^1 (V^1) does not stabilise the surface
         with pytest.raises(RuntimeError, match=r"T\^1"):
             verify_certificate(cert._replace(k=1))

@@ -144,3 +144,19 @@ def unreached_definitions() -> list:
 
 def test_every_definition_is_reached():
     assert unreached_definitions() == []
+
+
+def callers(name: str) -> list:
+    """(module, top-level definition) of every call of ``name`` in the package."""
+    found = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(p.read_text()).body:
+            found += [(p.name, getattr(node, "name", None)) for sub in ast.walk(node)
+                      if isinstance(sub, ast.Call) and name in (getattr(sub.func, "id", None),
+                                                                getattr(sub.func, "attr", None))]
+    return found
+
+
+def test_only_orbit_builds_an_orbit():
+    # orbit() is the one place that lays out an orbit's positions; the codec returns its result
+    assert callers("Orbit") == [("sl2_orbit.py", "orbit")]

@@ -27,6 +27,7 @@ from origami_h2.origami_core import (
     integer_weierstrass_count,
     is_primitive,
     origami_from_key,
+    key_from_text,
     key_to_text,
 )
 from origami_h2.sl2_orbit import (
@@ -104,6 +105,29 @@ def _malformed_documents() -> list:
 
 
 _DROP = object()
+
+
+def _document(t_next: dict, s_next: dict) -> str:
+    """A schema-3 document for T- and S-maps on canonical keys, laid out as ``orbit_to_json`` does."""
+    keys = sorted(t_next)
+    rank = {key: i for i, key in enumerate(keys)}
+    cusps, seen = [], set()
+    for key in keys:  # in key order, so a cusp is first met at its least key
+        if key not in seen:
+            cycle = [key]
+            while t_next[cycle[-1]] != key:
+                cycle.append(t_next[cycle[-1]])
+            seen.update(cycle)
+            cusps.append({"rep": rank[key], "width": len(cycle)})
+    return json.dumps({
+        "schema_version": ORBIT_SCHEMA_VERSION,
+        "n": origami_from_key(keys[0]).n,
+        "base_key": key_to_text(keys[0]),
+        "surfaces": [key_to_text(key) for key in keys],
+        "t_edges": [rank[t_next[key]] for key in keys],
+        "s_edges": [rank[s_next[key]] for key in keys],
+        "cusps": cusps,
+    }, sort_keys=True, separators=(",", ":"))
 
 
 class TestShears:
@@ -623,6 +647,29 @@ class TestOrbitAgainstAllTurns:
         assert 2 * made["reflect"] == len(orb.ks) + self_mirror
 
 
+def _merged_a7_b7() -> str:
+    """The A7 and B7 documents merged into one of 90 surfaces in key order."""
+    t_next, s_next = {}, {}
+    for label in ("A", "B"):
+        text = orbit_to_json(orbit(seed_surface(label, 7)))
+        doc = json.loads(text)
+        keys = [key_from_text(t) for t in doc["surfaces"]]
+        edges = [dict(zip(keys, map(keys.__getitem__, doc[f"{g}_edges"]))) for g in "ts"]
+        assert _document(*edges) == text
+        t_next.update(edges[0])
+        s_next.update(edges[1])
+    return _document(t_next, s_next)
+
+
+def _imprimitive() -> str:
+    """The document of the imprimitive orbit of 2cyl(1,1,2,4,0,0), which orbit() refuses."""
+    o = build_two_cylinder(1, 1, 2, 4, 0, 0)
+    assert not is_primitive(o)
+    maps = all_turns_orbit(o)
+    key = {d: canonical_key(build_from_diagram(d)) for d in maps[0]}
+    return _document(*({key[d]: key[e] for d, e in edges.items()} for edges in maps))
+
+
 class TestOrbitJson:
     def test_round_trip(self, named_orbit):
         orb = named_orbit("B", 5)
@@ -743,6 +790,19 @@ class TestOrbitJson:
         assert doc["t_edges"] != json.loads(orbit_to_json(named_orbit("B", 7)))["t_edges"]
         with pytest.raises(ValueError, match="T-edges disagree with the shear"):
             orbit_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "document,size,error",
+        [(_merged_a7_b7, 90, "90 surfaces hold an orbit of"), (_imprimitive, 6, "expects a primitive surface")],
+        ids=["A7+B7", "imprimitive"],
+    )
+    def test_rejects_documents_that_are_not_one_orbit(self, document, size, error):
+        # closed under T and S, with edges that are the shear and the quarter
+        # turn and cusps that match them, but not the orbit of the base key
+        text = document()
+        assert len(json.loads(text)["surfaces"]) == size
+        with pytest.raises(ValueError, match=error):
+            orbit_from_json(text)
 
     def test_rejects_dropped_surface(self, named_orbit):
         doc = json.loads(orbit_to_json(named_orbit("A", 3)))
