@@ -7,8 +7,8 @@ d/δ reproduction table) and ``verify`` (orbit-count / level / invariant
 property sweeps).
 
 Exit codes: 0 success, 1 a checked property failed, 2 bad arguments or
-unparsable input, 3 surface outside the supported stratum (not primitive or
-not H(2)), 4 noncongruence search inconclusive.
+unparsable input, 3 a surface that parses but breaks a length, height or width
+rule or is imprimitive, 4 noncongruence search inconclusive.
 
 Every orbit is computed afresh; nothing is written to disk.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional
 
 from .congruence import (
@@ -215,6 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # entry point
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="origami-h2",

@@ -53,17 +53,6 @@ def factorize(a: int) -> FactoredInteger:
     return FactoredInteger(value, tuple(factors))
 
 
-def _primes_upto(limit: int) -> list:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, limit + 1) if sieve[p]]
-
-
 def lcm_upto(n: int) -> FactoredInteger:
     """lcm(1, 2, .., n) = ∏ p^⌊log_p n⌋, factorised."""
     if n < 1:
@@ -305,19 +294,18 @@ def congruence_verify_level2(orb: Orbit) -> bool:
 
 
 def smooth_p2m1_scan(limit: int) -> set:
-    """Primes p ≤ limit for which p² − 1 factors over {2, 3} alone."""
+    """Primes p ≤ limit for which p² − 1 factors over {2, 3} alone.
+
+    p² − 1 = (p − 1)(p + 1) is a {2, 3}-number iff both factors are, so p = s + 1
+    where s < limit and s + 2 ≤ 2^b, b = limit.bit_length(), are {2, 3}-numbers
+    and s + 1 is prime (Størmer: s = 1, 2, 4, 6, 16).  About b²/3 numbers 3^j·2^i
+    are ≤ 2^b (143 at 10⁶), so the cost grows with b², not with limit.
+    """
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    found = set()
-    for p in _primes_upto(limit):
-        m = p * p - 1
-        while m % 2 == 0:
-            m //= 2
-        while m % 3 == 0:
-            m //= 3
-        if m == 1:
-            found.add(p)
-    return found
+    b = limit.bit_length()
+    smooth = {3**j << i for j in range(b) for i in range(((1 << b) // 3**j).bit_length())}
+    return {s + 1 for s in smooth if s < limit and s + 2 in smooth and factorize(s + 1).factors[0][0] == s + 1}
 
 
 def bad_case_classifier(n: int) -> Optional[tuple]:

@@ -42,11 +42,11 @@ from .origami_core import (
     _decompose,
     _perms,
     _row_index,
+    _twist_modulus,
     lattice_index,
     least_rotation,
     weierstrass_count,
 )
-from .sl2_orbit import _twist_modulus
 
 
 class CountReport(NamedTuple):

@@ -325,6 +325,15 @@ def least_rotation(diag: OneCylinder) -> OneCylinder:
     return diag
 
 
+def _twist_modulus(l1: int, l2: int, l3: int) -> int:
+    """The modulus of a normalised one-cylinder twist: l for equal lengths l, else the width.
+
+    :func:`least_rotation` keeps an equal-length twist mod l, and unequal
+    lengths alone fix the least reading.
+    """
+    return l1 if l1 == l2 == l3 else l1 + l2 + l3
+
+
 # ---------------------------------------------------------------------------
 # cylinder decomposition
 

@@ -52,6 +52,7 @@ from .origami_core import (
     _key_images,
     _layout,
     _row_index,
+    _twist_modulus,
     build_from_diagram,
     canonical_key,
     cylinder_decomposition,
@@ -162,15 +163,6 @@ def u_orbit_width(o: Origami) -> int:
 def membership(o: Origami, m: MatrixZ) -> bool:
     """True iff m stabilises o up to relabelling."""
     return canonical_key(apply_matrix(o, m)) == canonical_key(o)
-
-
-def _twist_modulus(l1: int, l2: int, l3: int) -> int:
-    """The modulus of a normalised one-cylinder twist: l for equal lengths l, else the width.
-
-    :func:`least_rotation` keeps an equal-length twist mod l, and unequal
-    lengths alone fix the least reading.
-    """
-    return l1 if l1 == l2 == l3 else l1 + l2 + l3
 
 
 def t_member(diag: CylinderDiagram, j: int) -> CylinderDiagram:

@@ -394,6 +394,9 @@ class TestGlobalFlags:
             cli.main(["--max-orbit-n", "2", "badcases"])
         assert exc_info.value.code == 2
 
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
 
 LAUNCHER = """#!{python}
 import sys

@@ -1,5 +1,6 @@
 """Arithmetic layer: factorizations, index formulas, and the obstruction test."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -307,12 +308,40 @@ class TestCertificates:
             congruence_verify_level2(named_orbit("C", 4))
 
 
+def brute_smooth_scan(limit):
+    """Primes p <= limit, by trial division, whose p² − 1 is 1 once its 2s and 3s are stripped."""
+    found = set()
+    for p in range(2, limit + 1):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        m = p * p - 1
+        for q in (2, 3):
+            while m % q == 0:
+                m //= q
+        if m == 1:
+            found.add(p)
+    return found
+
+
 class TestBadCases:
     def test_smooth_scan(self):
         assert smooth_p2m1_scan(20) == {2, 3, 5, 7, 17}
         assert smooth_p2m1_scan(2) == {2}
         with pytest.raises(ValueError):
             smooth_p2m1_scan(1)
+        want = brute_smooth_scan(2000)
+        for limit in range(2, 2001):
+            assert smooth_p2m1_scan(limit) == {p for p in want if p <= limit}, limit
+
+    def test_smooth_scan_memory_does_not_grow_with_limit(self):
+        # the listing holds 143 numbers at 10**6; anything sized by limit would pass 64 KiB
+        tracemalloc.start()
+        try:
+            assert smooth_p2m1_scan(10**6) == {2, 3, 5, 7, 17}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     @pytest.mark.parametrize(
         "n,want",
