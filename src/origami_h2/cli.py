@@ -55,7 +55,7 @@ COUNTS_CSV_HEADER = "n,total,formula_total,a_count,a_formula,b_count,b_formula,m
 
 BAD_CASE_ROWS = (9, 15, 21, 27, 51)
 
-# counts 100 100 takes about 2.2 s and 16.3 MB max RSS (15.3 MB for counts 3 3)
+# counts 100 100 takes about 1.9 s and 16.5 MB max RSS (15.1 MB for counts 3 3)
 # on 2 cores; the limit caps what a single command may cost
 MAX_COUNTS_N = 100
 
@@ -188,7 +188,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             total = count_primitive(n)
             # equal sizes make the named orbits disjoint; equal sets make them the census's tuples
             union = set().union(*(orb.diagrams for orb in orbits.values()))
-            ok = sum(sizes.values()) == len(union) == total and union == set(_candidates(n))
+            ok = sum(sizes.values()) == len(union) == total and union == {
+                c for _, coords in _candidates(n) for c in coords}
             detail = " + ".join(f"{lab}={sz}" for lab, sz in sorted(sizes.items()))
             detail = f"{detail} vs total {total}"
         elif args.suite == "levels":

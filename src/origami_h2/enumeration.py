@@ -12,12 +12,12 @@ is swept in cylinder coordinates:
 
 Primitivity in coordinates is gcd(h1,h2) = 1 together with
 gcd(gcd(w1,w2), h2·t1 − h1·t2) = 1 (one-cylinder: gcd(l1,l2,l3) = 1), which
-is the lattice-index test specialised to the builders.  One sweep checks
-every candidate's laid-out permutations, with no surface built: three
-corners, a decomposition that gives back the enumerated tuple (one-cylinder
-tuples are kept only as their least rotation, which is what the
-decomposition returns) and lattice index 1.  The census is that set of
-diagrams (:func:`enumerate_diagrams`).
+is the lattice-index test specialised to the builders.  One sweep, one
+cylinder shape at a time, checks every candidate's laid-out permutations,
+with no surface built: three corners, a decomposition that gives back the
+enumerated tuple (one-cylinder tuples are kept only as their least rotation,
+which is what the decomposition returns) and lattice index 1.  The census
+is that set of diagrams (:func:`enumerate_diagrams`).
 
 Counting is done in the same coordinates: per two-cylinder shape the number
 of primitive twist pairs is w1·w2·φ(g)/g with g = gcd(w1,w2), and the odd-n
@@ -38,11 +38,13 @@ from .origami_core import (
     CylinderDiagram,
     OneCylinder,
     TwoCylinder,
+    _checked,
     _corners,
     _decompose,
-    _perms,
     _row_index,
+    _shape,
     _twist_modulus,
+    _up,
     lattice_index,
     least_rotation,
     weierstrass_count,
@@ -89,15 +91,17 @@ def _two_cylinder_shapes(n: int) -> Iterator[tuple]:
                     yield (h1, h2, w1, w2)
 
 
-def _candidates(n: int) -> Iterator[CylinderDiagram]:
-    """The normalised diagrams of the primitive n-square census, in coordinates."""
+def _candidates(n: int) -> Iterator[tuple]:
+    """The primitive n-square census in families: a shape's :func:`_shape` key, its tuples.
+
+    One family per two-cylinder shape and one per normalised one-cylinder
+    composition (l1, l2, l3), all of shape (n, 1).
+    """
     for h1, h2, w1, w2 in _two_cylinder_shapes(n):
         g = gcd(w1, w2)
-        for t1 in range(w1):
-            c = h2 * t1
-            for t2 in range(w2):
-                if gcd(g, c - h1 * t2) == 1:
-                    yield TwoCylinder(h1, h2, w1, w2, t1, t2)
+        yield (h1, h2, w1, w2), [
+            (h1, h2, w1, w2, t1, t2) for t1 in range(w1) for t2 in range(w2) if gcd(g, h2 * t1 - h1 * t2) == 1
+        ]
     for l1 in range(1, n - 1):
         for l2 in range(1, n - l1):
             l3 = n - l1 - l2
@@ -109,32 +113,36 @@ def _candidates(n: int) -> Iterator[CylinderDiagram]:
             # lengths l pass the gcd test only at l = 1, where the one twist is 0.
             if least_rotation(OneCylinder(l1, l2, l3, 0, 1))[:3] != (l1, l2, l3):
                 continue
-            for t in range(_twist_modulus(l1, l2, l3)):
-                yield OneCylinder(l1, l2, l3, t, 1)
+            yield (n, 1), [(l1, l2, l3, t, 1) for t in range(_twist_modulus(l1, l2, l3))]
 
 
 def _sweep(n: int) -> Iterator[CylinderDiagram]:
     """Each candidate diagram, once checked on its laid-out permutations.
 
-    A shape's twists come in a row and share one ``right`` tuple, so its row
-    index (:func:`_row_index`, n steps) is built only when ``r`` is not the
-    tuple last indexed; the index depends on that immutable tuple alone.
+    A family's candidates share their lengths and heights, so :func:`_checked`
+    and :func:`_shape` run once per family, and the row index of the shared
+    ``right`` (:func:`_row_index`, n steps) is built unless it is ``r``, the
+    tuple last indexed.  Each candidate's :func:`_up` gets a full corner scan,
+    and the diagram read back, which is yielded, must be it, of lattice index 1.
     """
     if n < 3:
         raise ValueError("H(2) needs at least 3 squares")
-    indexed = rows = None
-    for diag in _candidates(n):
-        r, u = _perms(diag)
-        corners = _corners(r, u)
-        if len(corners) != 3:
-            raise AssertionError(f"{diag} builds a surface with {len(corners)} corners")
-        if r is not indexed:
-            indexed, rows = r, _row_index(r, range(n))
-        found = _decompose(r, u, corners, rows)
-        index = lattice_index(found)
-        if found != diag or index != 1:
-            raise AssertionError(f"{diag} decomposes as {found}, lattice determinant {index}")
-        yield diag
+    r = rows = None
+    for dims, coords in _candidates(n):
+        _checked(coords[0])
+        shape = _shape(*dims)
+        if shape[0] is not r:
+            r, rows = shape[0], _row_index(shape[0], range(n))
+        for c in coords:
+            u = _up(shape, c)
+            corners = _corners(r, u)
+            if len(corners) != 3:
+                raise AssertionError(f"{c} builds a surface with {len(corners)} corners")
+            found = _decompose(r, u, corners, rows)
+            index = lattice_index(found)
+            if found != c or index != 1:
+                raise AssertionError(f"{c} decomposes as {found}, lattice determinant {index}")
+            yield found
 
 
 def enumerate_diagrams(n: int) -> set:

@@ -205,14 +205,17 @@ def build_one_cylinder(l1: int, l2: int, l3: int, t: int = 0, h: int = 1) -> Ori
 
 
 def _checked(diag: CylinderDiagram) -> CylinderDiagram:
-    """``diag``, if its lengths and heights are positive and, for two cylinders, w1 < w2."""
-    if isinstance(diag, OneCylinder):
-        if min(diag.l1, diag.l2, diag.l3, diag.h) < 1:
+    """``diag``, if its lengths and heights are positive and, for two cylinders, w1 < w2.
+
+    Coordinates are read by position, so a plain tuple is checked as its diagram.
+    """
+    if len(diag) == 5:
+        if min(*diag[:3], diag[4]) < 1:
             raise InvalidSurfaceError("one-cylinder lengths and height must be positive")
     elif min(diag[:4]) < 1:
         raise InvalidSurfaceError("cylinder dimensions must be positive")
-    elif diag.w1 >= diag.w2:
-        raise InvalidSurfaceError(f"need w1 < w2, got w1={diag.w1}, w2={diag.w2}")
+    elif diag[2] >= diag[3]:
+        raise InvalidSurfaceError(f"need w1 < w2, got w1={diag[2]}, w2={diag[3]}")
     return diag
 
 
@@ -262,39 +265,50 @@ def _shape(*dims) -> tuple:
     return tuple(right), (*range(w2, nbig),), wide * 2, (*range(nbig + w1, n),), (*range(w1),) * 2
 
 
-def _layout(diag: CylinderDiagram) -> tuple:
-    """(right, up, corners) of the surface the builders make from ``diag``.
-
-    The one path from a diagram to its lists: builders, census sweep and
-    quarter turns.  Rows are numbered up from the bottom of each cylinder,
-    the wide one's first, and ``right`` steps right, wrapping at the row's
-    end.  Only the top rows' landings depend on the twists, so ``right`` is
-    the tuple that every layout of the shape shares (:func:`_shape`), and
-    ``up`` is a fresh list of the shape's rows with each top row read as
-    one slice of its doubled landings (three slices for the one cylinder's
-    three arcs).  The corners (:func:`_corners`) are the squares before the
-    three cuts of the top rows; the corner test is symmetric in right and
-    up, so they are also the corners of the transposed pair (up, right).
-    """
-    if isinstance(diag, OneCylinder):
-        l1, l2, l3, t, h = diag
+def _up(shape: tuple, diag) -> list:
+    """``up`` of ``diag``, or of its plain coordinate tuple, from its shape's :func:`_shape` entry."""
+    if len(diag) == 5:
+        l1, l2, l3, t, _ = diag
+        _, rows, lands = shape
         w = l1 + l2 + l3
         t %= w
-        right, rows, lands = _shape(w, h)
         # the top row's arcs A=[0,l1), B=[l1,l1+l2), C=[l1+l2,w) land in reversed
         # order on the bottom row, which the twist rotates: read as C, B, A, the
         # j-th square lands on lands[t + j]
-        up = [*rows, *lands[t + l2 + l3 : t + w], *lands[t + l3 : t + l2 + l3], *lands[t : t + l3]]
-        n = len(up)
-        return right, up, [n - 1, n - w + l1 - 1, n - w + l1 + l2 - 1]
-    h1, h2, w1, w2, t1, t2 = diag
-    t1 %= w1
-    t2 %= w2
-    right, rows2, wide, rows1, narrow = _shape(h1, h2, w1, w2)
-    up = [*rows2, *wide[w2 - t2 : 2 * w2 - t2], *rows1, *narrow[w1 - t1 : 2 * w1 - t1]]
-    nbig = h2 * w2
-    n = len(up)
-    return right, up, [nbig - w2 + (t2 - 1) % w2, nbig - w2 + (t2 + w1 - 1) % w2, n - w1 + (t1 - 1) % w1]
+        return [*rows, *lands[t + l2 + l3 : t + w], *lands[t + l3 : t + l2 + l3], *lands[t : t + l3]]
+    _, _, w1, w2, t1, t2 = diag
+    _, rows2, wide, rows1, narrow = shape
+    s1, s2 = w1 - t1 % w1, w2 - t2 % w2
+    return [*rows2, *wide[s2 : s2 + w2], *rows1, *narrow[s1 : s1 + w1]]
+
+
+def _layout(diag: CylinderDiagram) -> tuple:
+    """(right, up, corners) of the surface the builders make from ``diag``.
+
+    The one path from a diagram to its lists: builders and quarter turns
+    call it, and the census sweep, which looks each shape up once, calls its
+    :func:`_up`.  Rows are numbered up from the bottom of each cylinder, the
+    wide one's first, and ``right`` steps right, wrapping at the row's end.
+    Only the top rows' landings depend on the twists, so ``right`` is the
+    tuple that every layout of the shape shares (:func:`_shape`), and ``up``
+    a fresh list of the shape's rows with each top row read as one slice of
+    its doubled landings (three slices for the one cylinder's three arcs).
+    The corners (:func:`_corners`) are the squares before the three cuts of
+    the top rows; the corner test is symmetric in right and up, so they are
+    also the corners of the transposed pair (up, right).
+    """
+    if isinstance(diag, OneCylinder):
+        l1, l2, l3, _, h = diag
+        w = l1 + l2 + l3
+        n = w * h
+        corners = [n - 1, n - w + l1 - 1, n - w + l1 + l2 - 1]
+        shape = _shape(w, h)
+    else:
+        h1, h2, w1, w2, t1, t2 = diag
+        top2, top1 = h2 * w2 - w2, h2 * w2 + h1 * w1 - w1  # the top rows' first squares
+        corners = [top2 + (t2 - 1) % w2, top2 + (t2 + w1 - 1) % w2, top1 + (t1 - 1) % w1]
+        shape = _shape(h1, h2, w1, w2)
+    return shape[0], _up(shape, diag), corners
 
 
 def build_l_shape(a: int, b: int) -> Origami:

@@ -269,9 +269,9 @@ class TestVerify:
         real = enumeration._candidates
 
         def swapped(n):
-            diagrams = set(real(n))
+            diagrams = {c for _, coords in real(n) for c in coords}
             diagrams.remove(min(diagrams))
-            return diagrams | {origami_core.TwoCylinder(1, 1, 1, 7, 0, 0)}
+            return [((1, 1, 1, 7), [*diagrams, (1, 1, 1, 7, 0, 0)])]
 
         monkeypatch.setattr(cli, "_candidates", swapped)
         rc, out, _ = run(capsys, "verify", "orbits", "7")

@@ -1,5 +1,6 @@
 """Census layer: enumerator, closed-form counts, and the invariant split."""
 
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -100,20 +101,20 @@ class TestCrossCheck:
     """
 
     def test_wrong_two_cylinder_twist_raises(self, monkeypatch):
-        real = enumeration._perms
+        real = enumeration._up
         monkeypatch.setattr(
-            enumeration, "_perms",
-            lambda d: real(d._replace(t2=d.t2 + 1) if isinstance(d, TwoCylinder) else d),
+            enumeration, "_up",
+            lambda shape, c: real(shape, (*c[:5], c[5] + 1) if len(c) == 6 else c),
         )
         for enumerate_ in ENUMERATORS:
             with pytest.raises(AssertionError, match="decomposes as"):
                 enumerate_(7)
 
     def test_wrong_one_cylinder_twist_raises(self, monkeypatch):
-        real = enumeration._perms
+        real = enumeration._up
         monkeypatch.setattr(
-            enumeration, "_perms",
-            lambda d: real(d._replace(t=d.t + 1) if isinstance(d, OneCylinder) else d),
+            enumeration, "_up",
+            lambda shape, c: real(shape, (*c[:3], c[3] + 1, c[4]) if len(c) == 5 else c),
         )
         for enumerate_ in ENUMERATORS:
             with pytest.raises(AssertionError, match="decomposes as"):
@@ -128,19 +129,17 @@ class TestCrossCheck:
                 enumerate_(6)
 
     def test_flat_torus_candidate_raises(self, monkeypatch):
-        # the n-cycle beside the identity has no corner: the H(2) check fires
-        # before the decomposition is tried
-        monkeypatch.setattr(
-            enumeration, "_perms", lambda d: ([*range(1, d.n), 0], list(range(d.n)))
-        )
+        # the shape's rows beside the identity have no corner: the H(2) check
+        # fires before the decomposition is tried
+        monkeypatch.setattr(enumeration, "_up", lambda shape, c: list(range(len(shape[0]))))
         for enumerate_ in ENUMERATORS:
             with pytest.raises(AssertionError, match="builds a surface with 0 corners"):
                 enumerate_(7)
 
     def test_invalid_candidate_raises(self, monkeypatch):
-        # w1 > w2: the sweep's permutations come from the checked diagram only
+        # w1 > w2: the sweep lays out a family only once its shape is checked
         def candidates(n):
-            yield TwoCylinder(1, 1, 3, 2, 0, 0)
+            yield (1, 1, 3, 2), [(1, 1, 3, 2, 0, 0)]
 
         monkeypatch.setattr(enumeration, "_candidates", candidates)
         for enumerate_ in ENUMERATORS:
@@ -214,10 +213,38 @@ class TestRowIndexReuse:
 
         monkeypatch.setattr(enumeration, "_row_index", counting)
         assert sum(1 for _ in enumeration._sweep(12)) == formula_total(12)
-        shapes = {enumeration._perms(d)[0] for d in enumeration._candidates(12)}
+        shapes = {origami_core._shape(*dims)[0] for dims, _ in enumeration._candidates(12)}
         # every two-cylinder shape and the one-cylinder shape (12, 1)
         assert len(shapes) == len(list(enumeration._two_cylinder_shapes(12))) + 1
         assert len(calls) == len(set(calls)) == len(shapes)
+
+    def test_one_shape_check_per_family(self, monkeypatch):
+        # a family's candidates share their lengths and heights: one check
+        # per two-cylinder shape and per normalised one-cylinder composition
+        calls = []
+        real = enumeration._checked
+
+        def counting(diag):
+            calls.append(diag)
+            return real(diag)
+
+        monkeypatch.setattr(enumeration, "_checked", counting)
+        assert len(enumerate_diagrams(12)) == formula_total(12)
+        # count_one_cylinder(n) is n times the gcd-1 compositions over three
+        compositions = enumeration.count_one_cylinder(12) // 12
+        assert len(calls) == len(list(enumeration._two_cylinder_shapes(12))) + compositions
+
+    def test_the_sweep_streams(self):
+        # no list longer than one shape's twists: collecting the census at
+        # n = 61 peaks at about 13 MiB
+        origami_core._shape.cache_clear()
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in enumeration._sweep(61)) == formula_total(61)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_a_stale_row_index_is_caught(self, monkeypatch):
         # the first shape's index read for every candidate puts the second
