@@ -27,9 +27,10 @@ S(ρx) = ρS(x), so ρ maps each cusp onto a cusp read in reverse T-order
 and each S-edge x–y onto ρx–ρy.  The orbit reads S through the mirror:
 for z = τx it records S(x) = ρz and S(ρx) = ρS(x) = z, and as it turns
 only when nothing is left to infer, it makes about 0.1 turns per
-surface.  The lcm of the cusp widths is the level of the stabiliser, and
-an arbitrary unimodular matrix acts as Euclid factors it, S⁻¹·T^q at a
-time (:func:`apply_matrix`).
+surface (0.098 over random starts at n = 25–31, 0.086 at B₁₀₁).  The
+lcm of the cusp widths is the level of the stabiliser, and an arbitrary
+unimodular matrix acts as Euclid factors it, S⁻¹·T^q at a time
+(:func:`apply_matrix`).
 """
 
 from __future__ import annotations
@@ -318,18 +319,23 @@ def orbit(o: Origami) -> Orbit:
     takes the next k positions from its base (``Orbit.bases``), and any
     other member's position is read off its :func:`cusp_coordinates`,
     base + (j − j0) mod k.  A quarter turn bisects the bases for its input's
-    cusp and builds that input alone (:func:`t_member`).  The closure walks
-    one f-cycle a → b → c → a at a time, f = S∘T, with f³ = 1 because
+    cusp and builds that input alone (:func:`t_member`).  The closure
+    closes f-cycles a → b → c → a, f = S∘T, with f³ = 1 because
     (S·T)³ = I (see the module docstring).  Its S-edges are T(a)–b, T(b)–c
     and T(c)–a.  The start is turned first, and every other a taken up is
     T(x) for x on a closed f-cycle, whose edge T(x)–f(x) is stored, so
     S(a) is always known and gives c = T⁻¹(S(a)).  Only b can be missing:
-    it is S(T(a)), or T⁻¹(S(c)), or else T(a) costs a quarter turn.  Such
-    an f-cycle waits on a second stack until no other is left, as
-    deductions come before definitions in coset enumeration (Felsch), so
-    the turns made meanwhile may give its edge for free.  A fixed point of
-    f is the cycle a = b = c, and the T-images of the cycle are closed
-    next, so the forward closure is the full group orbit.
+    it is S(T(a)), or T⁻¹(S(c)), or else T(a) costs a quarter turn.  As
+    a's f-cycle closes it stores T(a)–b, and S is an involution on the
+    surfaces (S² = −I), so S(T(a)) = b is known: the closure takes T(a) up
+    next, walking along a's cusp in place until it meets a closed
+    position, and stacks T(b) and T(c), whose S-images c and a are stored
+    too, only while they are open.  A walk that meets an f-cycle needing a
+    turn while the stack holds other work puts it on a second stack and
+    stops, as deductions come before definitions in coset enumeration
+    (Felsch), so the turns made meanwhile may give its edge for free.  A
+    fixed point of f is the cycle a = b = c, and the T-images of the cycle
+    are closed next, so the forward closure is the full group orbit.
 
     A cusp is numbered together with its mirror: ρ(T^j·d) = T^{−j}(ρd), so
     one :func:`reflect` per cusp places every mirror, the cusp itself when
@@ -396,24 +402,26 @@ def orbit(o: Origami) -> Orbit:
     turn(x)  # from here on every position taken up knows its S-image
     todo, later = [x], []  # later: f-cycles that wait for a quarter turn
     while todo or later:
-        turning = not todo
         a = (todo or later).pop()
-        if closed[a]:
-            continue
-        ta, tc = t_perm[a], s_perm[a]
-        c = r_perm[t_perm[r_perm[tc]]]
-        b = s_perm[ta]
-        if b < 0:
-            sc = s_perm[c]
-            if sc < 0 and not turning:
-                later.append(a)
-                continue
-            b = turn(ta) if sc < 0 else r_perm[t_perm[r_perm[sc]]]
-            s_perm[ta], s_perm[b] = b, ta
-        tb = t_perm[b]
-        s_perm[tb], s_perm[c] = c, tb
-        closed[a] = closed[b] = closed[c] = 1
-        todo += (ta, tb, tc)
+        while not closed[a]:  # along a's cusp: S(T(a)) = b is stored as a's f-cycle closes
+            ta, tc = t_perm[a], s_perm[a]
+            c = r_perm[t_perm[r_perm[tc]]]
+            b = s_perm[ta]
+            if b < 0:
+                sc = s_perm[c]
+                if sc < 0 and todo:
+                    later.append(a)
+                    break
+                b = turn(ta) if sc < 0 else r_perm[t_perm[r_perm[sc]]]
+                s_perm[ta], s_perm[b] = b, ta
+            tb = t_perm[b]
+            s_perm[tb], s_perm[c] = c, tb
+            closed[a] = closed[b] = closed[c] = 1
+            if not closed[tb]:
+                todo.append(tb)
+            if not closed[tc]:
+                todo.append(tc)
+            a = ta
     if 0 in closed:
         raise RuntimeError(f"the mirror of the orbit of {start} is another orbit")
     if list(map(s_perm.__getitem__, r_perm)) != list(map(r_perm.__getitem__, s_perm)):

@@ -73,3 +73,67 @@ class TestSummary:
             assert summary[m["name"]]["bound"] == m["bound"]
             assert summary[m["name"]]["change_worse_by_share"] == pytest.approx(0.1)
             assert summary[m["name"]]["parent_wins"] == 2
+
+    def test_each_verdict(self):
+        # wall_s: lower is better, bound 0.25 of the parent's median
+        metrics = [m for m in END_TO_END if m["name"] == "wall_s"]
+        steady = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+        wide = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.6, 1.4, 1.0, 1.0]
+
+        def verdict(parents, changes):
+            pairs = [pair({"wall_s": p}, {"wall_s": c}) for p, c in zip(parents, changes)]
+            return bench_pairs.summarize(pairs, metrics)["wall_s"]["verdict"]
+
+        # ten wins of ten and a gap wider than the parent's quartiles
+        assert verdict(steady, [p - 0.1 for p in steady]) == "gain"
+        # nine wins of ten still count; eight do not
+        assert verdict(steady, [p - 0.1 for p in steady[:9]] + [1.5]) == "gain"
+        assert verdict(steady, [p - 0.1 for p in steady[:8]] + [1.5, 1.5]) == "within bound"
+        # ten wins, but a gap inside the parent's quartiles
+        assert verdict(steady, [p - 0.001 for p in steady]) == "within bound"
+        assert verdict(steady, [p * 1.3 for p in steady]) == "worse"
+        assert verdict(steady, [p * 1.2 for p in steady]) == "within bound"
+        # the parent's quartiles span more than the bound
+        assert verdict(wide, [p * 0.99 for p in wide]) == "unresolved"
+        # ... unless every change run beats every parent run
+        assert verdict(wide, [0.55] * 10) == "within bound"
+        assert verdict(wide, [0.55] * 9 + [0.6]) == "unresolved"
+        assert verdict(wide, [0.4] * 10) == "gain"
+
+
+class TestRunPairs:
+    def test_a_failed_run_is_recorded_and_the_schedule_goes_on(self, monkeypatch, tmp_path):
+        bench = {"workloads": [{"name": "census"}], "run_seconds": 1, "end_to_end": END_TO_END}
+        plan = bench_pairs.schedule(["census"], 4, 0)
+        out = tmp_path / "bench.json"
+        calls = []
+
+        def run(checkout, workload, seed, seconds):
+            calls.append(seed)
+            if len(calls) == 3:
+                # the first pair is on disk before the second runs
+                assert len(json.loads(out.read_text())["workloads"]["census"]["pairs"]) == 1
+                return None, {"failed_run": {"exit_code": 1, "stderr": "workload run failed"}}
+            side = "change" if checkout.name == "Y" else "parent"
+            # as in a real row, "failed" counts the failed jobs of a finished run
+            row = {m["name"]: 1.0 for m in END_TO_END} | {"correct": 9, "attempted": 9, "failed": 0}
+            row["wall_s"] = 0.5 if side == "change" else 1.0 + seed / 100
+            return {"nproc": 2, "cpus_usable": 2, "python": "3", "cpu_model": "x"}, row
+
+        monkeypatch.setattr(bench_pairs, "_run", run)
+        monkeypatch.setattr(bench_pairs, "_place", lambda src, checkout: None)
+        bench_pairs.run_pairs(plan, bench, tmp_path, out, {"note": "kept"})
+
+        assert len(calls) == 2 * len(plan)
+        doc = json.loads(out.read_text())
+        assert doc["note"] == "kept"
+        assert doc["machine"]["nproc"] == 2
+        census = doc["workloads"]["census"]
+        assert census["failed_runs"] == 1
+        failed = census["pairs"][1]
+        assert failed["seed"] == 2
+        assert {failed["parent"].get("failed_run", {}).get("exit_code"),
+                failed["change"].get("failed_run", {}).get("exit_code")} == {1, None}
+        # the failed pair is left out: three of the four are summarised
+        assert census["summary"]["wall_s"]["pairs"] == 3
+        assert len(census["held_out"]) == 1

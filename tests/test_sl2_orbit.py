@@ -624,11 +624,12 @@ class TestOrbitAgainstAllTurns:
         # built in closed form is each transpose's input.  One reflect per
         # first-seen cusp numbers its mirror too, and a turn reads S through
         # that mirror, calling none.  The mirrored S-edges leave
-        # 543 quarter turns (843 before the mirror), and deferring the
-        # f-cycles that need a turn until no other is left leaves 428.  Of
-        # the index 4095, the all-turns closure turns about index / 2,
-        # inference alone leaves about index / 5, the mirrored S-edges
-        # 0.13·index, and the deferral about index / 10.
+        # 543 quarter turns (843 before the mirror), deferring the f-cycles
+        # that need a turn until no other is left leaves 428, and walking
+        # each cusp in place, deferring while other work is left, leaves
+        # 416.  Of the index 4095, the all-turns closure turns about
+        # index / 2, inference alone leaves about index / 5, the mirrored
+        # S-edges 0.13·index, and the deferral about index / 10.
         calls = {name: [] for name in ("shear", "t_member", "transpose", "reflect")}
         for module, name in ((oracles, "shear"), (sl2_orbit, "t_member"),
                              (sl2_orbit, "transpose"), (sl2_orbit, "reflect")):
@@ -641,10 +642,25 @@ class TestOrbitAgainstAllTurns:
         assert orb.index == 4095
         made = {name: len(seen) for name, seen in calls.items()}
         assert made["shear"] == 0
-        assert made["t_member"] == made["transpose"] == 428
+        assert made["t_member"] == made["transpose"] == 416
         assert len(orb.ks) == 199
         self_mirror = sum(reflect(cycle[0]) in cycle for cycle in cusps(orb))
         assert 2 * made["reflect"] == len(orb.ks) + self_mirror
+
+    @pytest.mark.parametrize("label, n, index, turns", [("A", 27, 3159, 312), ("C", 28, 5616, 537)])
+    def test_noncong_orbit_turns(self, monkeypatch, label, n, index, turns):
+        # the other two noncong orbits of the orbit-cold benchmark, at the
+        # walk's exact count (322 and 581 while every T-image went through
+        # the stack)
+        made = []
+
+        def counting(diag, real=sl2_orbit.transpose):
+            made.append(diag)
+            return real(diag)
+
+        monkeypatch.setattr(sl2_orbit, "transpose", counting)
+        assert orbit(seed_surface(label, n)).index == index
+        assert len(made) == turns
 
 
 def _merged_a7_b7() -> str:

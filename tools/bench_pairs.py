@@ -17,8 +17,12 @@ written against.
 
 The output holds the ``workloads``, ``machine``, ``parent_commit``,
 ``command`` and ``protocol`` sections, each metric summarised against its
-bound in ``BENCHMARK.json``; any other section of an existing output file
-is kept.  Standard library only.
+bound in ``BENCHMARK.json`` and given a verdict; any other section of an
+existing output file is kept.  The file is written after every pair.  A
+run that exits non-zero or overruns ten times ``run_seconds`` leaves its
+exit code and last stderr line in its pair, the schedule goes on, and a
+pair with a failed run is left out of the summary and counted in the
+workload's ``failed_runs``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -59,30 +63,46 @@ def schedule(workloads: list, pairs: int, seed_base: int) -> list:
 
 
 def summarize(pairs: list, metrics: list) -> dict:
-    """Quartiles (inclusive), wins and the change's median against the parent's, per metric.
+    """Quartiles (inclusive), wins, the change's median against the parent's and a verdict, per metric.
 
     ``metrics`` are ``BENCHMARK.json``'s end-to-end entries.  A win is a
     strictly better value; ``change_worse_by_share`` is positive when the
-    change's median is worse.
+    change's median is worse.  The ``verdict`` is ``gain`` when the change
+    wins at least nine tenths of the pairs and its median is better by more
+    than the parent's interquartile range; ``worse`` when its median is
+    worse by more than the bound, a share of the parent's median;
+    ``unresolved`` when the parent's interquartile range is wider than the
+    bound and not every change run is better than every parent run; and
+    ``within bound`` otherwise.
     """
     summary = {}
     for m in metrics:
-        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        name, sign, bound = m["name"], 1 if m["better"] == "lower" else -1, m["bound"]
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         pq = statistics.quantiles(parent, n=4, method="inclusive")
         cq = statistics.quantiles(change, n=4, method="inclusive")
-        diff = cq[1] - pq[1]
+        diff, iqr = cq[1] - pq[1], pq[2] - pq[0]
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        if 10 * wins >= 9 * len(pairs) and -sign * diff > iqr:
+            verdict = "gain"
+        elif sign * diff > bound * abs(pq[1]):
+            verdict = "worse"
+        elif iqr > bound * abs(pq[1]) and max(sign * c for c in change) >= min(sign * p for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         summary[name] = {
             "parent_q1_median_q3": pq,
             "change_q1_median_q3": cq,
-            "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "change_wins": wins,
             "parent_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
-            "parent_iqr": pq[2] - pq[0],
+            "parent_iqr": iqr,
             "median_diff": diff,
             "change_worse_by_share": round(sign * diff / pq[1], 4) if pq[1] else 0.0,
-            "bound": m["bound"],
+            "bound": bound,
+            "verdict": verdict,
         }
     return summary
 
@@ -100,18 +120,68 @@ def _place(src: Path, checkout: Path) -> None:
     shutil.copytree(src, checkout / "src", ignore=shutil.ignore_patterns("__pycache__"))
 
 
+def _last_line(text) -> str:
+    # a timed-out run's stderr comes back as bytes, or None
+    if isinstance(text, bytes):
+        text = text.decode(errors="replace")
+    lines = (text or "").strip().splitlines()
+    return lines[-1] if lines else ""
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: int) -> tuple:
-    """(context, result) of one benchmark run in a checkout with no bytecode left over."""
+    """(context, result) of one benchmark run in a checkout with no bytecode left over.
+
+    A run that exits non-zero, or is stopped after ten times ``seconds``,
+    gives (None, {"failed_run": {"exit_code": ..., "stderr": ...}}), with
+    no exit code on a timeout and its last stderr line (a row's ``failed``
+    counts the jobs that failed in a run that finished).
+    """
     for cache in checkout.rglob("__pycache__"):
         shutil.rmtree(cache)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=checkout, check=True, capture_output=True, text=True).stdout
-    lines = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    try:
+        done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=10 * seconds)
+    except subprocess.TimeoutExpired as exc:
+        return None, {"failed_run": {"exit_code": None, "stderr": _last_line(exc.stderr)}}
+    if done.returncode:
+        return None, {"failed_run": {"exit_code": done.returncode, "stderr": _last_line(done.stderr)}}
+    lines = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
     result = lines[-1]
     row = {name: v["value"] for name, v in result["metrics"].items()}
     row.update(correct=result["correct"], attempted=result["attempted"], failed=result["failed"])
     return lines[0]["context"], row
+
+
+def run_pairs(plan: list, bench: dict, build: Path, out: Path, doc: dict) -> None:
+    """Run ``plan``'s pairs in ``build``'s checkouts, writing ``doc`` to ``out`` after each pair.
+
+    ``build`` holds the checkouts X and Y and the sources ``parent/src`` and
+    ``change/src``; ``doc`` already holds the sections that do not depend on
+    the runs.
+    """
+    results = {w["name"]: {"pairs": [], "held_out": []} for w in bench["workloads"]}
+    for i, item in enumerate(plan):
+        sides = {"parent": "Y", "change": "X"} if item["src_swapped"] else {"parent": "X", "change": "Y"}
+        for side, checkout in sides.items():
+            _place(build / side / "src", build / checkout)
+        record = {k: item[k] for k in ("seed", "first", "src_swapped")}
+        record.update(parent_checkout=sides["parent"], change_checkout=sides["change"])
+        order = ("parent", "change") if item["first"] == "parent" else ("change", "parent")
+        for side in order:
+            context, record[side] = _run(build / sides[side], item["workload"], item["seed"],
+                                         bench["run_seconds"])
+            if context and not doc.get("machine"):
+                doc["machine"] = {k: context[k] for k in ("nproc", "cpus_usable", "python", "cpu_model")}
+        results[item["workload"]]["held_out" if item["held_out"] else "pairs"].append(record)
+        doc["workloads"] = {}
+        for w, r in results.items():
+            runs = [p[side] for p in r["pairs"] + r["held_out"] for side in ("parent", "change")]
+            done = [p for p in r["pairs"] if "failed_run" not in p["parent"] and "failed_run" not in p["change"]]
+            summary = summarize(done, bench["end_to_end"]) if len(done) > 1 else {}
+            doc["workloads"][w] = {"summary": summary, "failed_runs": sum("failed_run" in run for run in runs), **r}
+        out.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"{i + 1}: {item['workload']} seed {item['seed']} done", file=sys.stderr, flush=True)
 
 
 def main(argv=None) -> int:
@@ -122,7 +192,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    seconds = bench["run_seconds"]
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                             check=True, capture_output=True, text=True).stdout.strip()
 
@@ -132,26 +201,11 @@ def main(argv=None) -> int:
     _extract(parent, BUILD / "parent", "src")
     shutil.copytree(ROOT / "src", BUILD / "change" / "src", ignore=shutil.ignore_patterns("__pycache__"))
 
-    results = {w: {"pairs": [], "held_out": []} for w in workloads}
-    machine = None
-    for i, item in enumerate(schedule(workloads, PAIRS, args.seed_base)):
-        sides = {"parent": "Y", "change": "X"} if item["src_swapped"] else {"parent": "X", "change": "Y"}
-        for side, checkout in sides.items():
-            _place(BUILD / side / "src", BUILD / checkout)
-        record = {k: item[k] for k in ("seed", "first", "src_swapped")}
-        record.update(parent_checkout=sides["parent"], change_checkout=sides["change"])
-        order = ("parent", "change") if item["first"] == "parent" else ("change", "parent")
-        for side in order:
-            context, record[side] = _run(BUILD / sides[side], item["workload"], item["seed"], seconds)
-            machine = machine or {k: context[k] for k in ("nproc", "cpus_usable", "python", "cpu_model")}
-        results[item["workload"]]["held_out" if item["held_out"] else "pairs"].append(record)
-        print(f"{i + 1}: {item['workload']} seed {item['seed']} done", file=sys.stderr, flush=True)
-
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update(
         parent_commit=parent,
-        machine=machine,
-        command=COMMAND.format(seconds=seconds),
+        machine=None,
+        command=COMMAND.format(seconds=bench["run_seconds"]),
         protocol=(
             "Two checkouts X and Y of the parent commit (git archive), so the same benchmark "
             "code; before each pair the parent's and the change's src/ trees are copied into "
@@ -164,12 +218,11 @@ def main(argv=None) -> int:
                         f"held out {args.seed_base + 100 * k + HELD_OUT}" for k, w in enumerate(workloads))
             + ".  Held-out pairs run last and are not in the summary.  Quartiles are inclusive; "
             "a win is a strictly better value, ties count for neither.  change_worse_by_share is "
-            "the change's median against the parent's, signed so that a positive share is worse."
+            "the change's median against the parent's, signed so that a positive share is worse.  "
+            "A pair with a failed run is left out of the summary and counted in failed_runs."
         ),
-        workloads={w: {"summary": summarize(r["pairs"], bench["end_to_end"]), **r}
-                   for w, r in results.items()},
     )
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    run_pairs(schedule(workloads, PAIRS, args.seed_base), bench, BUILD, args.out, doc)
     return 0
 
 
