@@ -16,8 +16,12 @@ is the lattice-index test specialised to the builders.  One sweep, one
 cylinder shape at a time, checks every candidate's laid-out permutations,
 with no surface built: three corners, a decomposition that gives back the
 enumerated tuple (one-cylinder tuples are kept only as their least rotation,
-which is what the decomposition returns) and lattice index 1.  The census
-is that set of diagrams (:func:`enumerate_diagrams`).
+which is what the decomposition returns) and lattice index 1.  The corners
+are not scanned: the layout gives them in closed form, and the commutator
+check compares u∘r with r∘u as two byte strings, each made by one
+``bytes.translate``, which differ exactly there.  Squares are bytes, so the
+sweep takes n ≤ 256.  The census is that set of diagrams
+(:func:`enumerate_diagrams`).
 
 Counting is done in the same coordinates: per two-cylinder shape the number
 of primitive twist pairs is w1·w2·φ(g)/g with g = gcd(w1,w2), and the odd-n
@@ -40,6 +44,7 @@ from .origami_core import (
     TwoCylinder,
     _checked,
     _corners,
+    _cut_corners,
     _decompose,
     _row_index,
     _shape,
@@ -122,22 +127,43 @@ def _sweep(n: int) -> Iterator[CylinderDiagram]:
     A family's candidates share their lengths and heights, so :func:`_checked`
     and :func:`_shape` run once per family, and the row index of the shared
     ``right`` (:func:`_row_index`, n steps) is built unless it is ``r``, the
-    tuple last indexed.  Each candidate's :func:`_up` gets a full corner scan,
-    and the diagram read back, which is yielded, must be it, of lattice index 1.
+    tuple last indexed.  Squares are held in bytes, so n ≤ 256: ``rb`` is r
+    as bytes and ``rtab`` its 256-byte translation table.  Each candidate's
+    :func:`_up` u gives u∘r as ``rb`` translated through u and r∘u as u
+    translated through ``rtab``; the two must differ exactly at the
+    candidate's closed-form corners (:func:`_cut_corners`), so the surface
+    has three corners, on the squares its layout says.  The diagram read back
+    from them, which is yielded, must be the candidate, of lattice index 1.
     """
     if n < 3:
         raise ValueError("H(2) needs at least 3 squares")
+    if n > 256:
+        raise ValueError(f"the census sweep holds squares in bytes: n = {n} exceeds 256")
+    pad = bytes(range(n, 256))
     r = rows = None
     for dims, coords in _candidates(n):
         _checked(coords[0])
         shape = _shape(*dims)
         if shape[0] is not r:
             r, rows = shape[0], _row_index(shape[0], range(n))
+            rb = bytes(r)
+            rtab = rb + pad
         for c in coords:
             u = _up(shape, c)
-            corners = _corners(r, u)
-            if len(corners) != 3:
-                raise AssertionError(f"{c} builds a surface with {len(corners)} corners")
+            ub = bytearray(u)  # faster to make than bytes, and r∘u comes out mutable
+            ur = rb.translate(ub + pad)
+            ru = ub.translate(rtab)
+            corners = _cut_corners(c)
+            a, b, d = corners
+            # off the corners they agree: r∘u with u∘r's corner bytes put in is
+            # u∘r; at each corner they differ
+            x, y, z = ru[a], ru[b], ru[d]
+            ru[a], ru[b], ru[d] = ur[a], ur[b], ur[d]
+            if ru != ur or x == ur[a] or y == ur[b] or z == ur[d]:
+                scanned = _corners(r, u)
+                if len(scanned) != 3:
+                    raise AssertionError(f"{c} builds a surface with {len(scanned)} corners")
+                raise AssertionError(f"{c} has its corners at {scanned}, not at {sorted(corners)}")
             found = _decompose(r, u, corners, rows)
             index = lattice_index(found)
             if found != c or index != 1:

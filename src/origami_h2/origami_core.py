@@ -282,33 +282,47 @@ def _up(shape: tuple, diag) -> list:
     return [*rows2, *wide[s2 : s2 + w2], *rows1, *narrow[s1 : s1 + w1]]
 
 
+def _cut_corners(diag) -> list:
+    """The corners of ``diag``'s layout, or of its plain coordinate tuple, in closed form.
+
+    They are the squares before the three cuts of the top rows: the one
+    cylinder's at 0 (the row's last square), l1 and l1 + l2; the narrow
+    one's at t1, which lands on the wide bottom row's position 0; and the
+    wide one's at t2 and t2 + w1, where its landings change rows.
+    """
+    if len(diag) == 5:
+        l1, l2, l3, _, h = diag
+        n = (l1 + l2 + l3) * h
+        return [n - 1, n - l2 - l3 - 1, n - l3 - 1]
+    h1, h2, w1, w2, t1, t2 = diag
+    top2, top1 = h2 * w2 - w2, h2 * w2 + h1 * w1 - w1  # the top rows' first squares
+    return [top2 + (t2 - 1) % w2, top2 + (t2 + w1 - 1) % w2, top1 + (t1 - 1) % w1]
+
+
 def _layout(diag: CylinderDiagram) -> tuple:
     """(right, up, corners) of the surface the builders make from ``diag``.
 
     The one path from a diagram to its lists: builders and quarter turns
     call it, and the census sweep, which looks each shape up once, calls its
-    :func:`_up`.  Rows are numbered up from the bottom of each cylinder, the
-    wide one's first, and ``right`` steps right, wrapping at the row's end.
-    Only the top rows' landings depend on the twists, so ``right`` is the
-    tuple that every layout of the shape shares (:func:`_shape`), and ``up``
-    a fresh list of the shape's rows with each top row read as one slice of
-    its doubled landings (three slices for the one cylinder's three arcs).
-    The corners (:func:`_corners`) are the squares before the three cuts of
-    the top rows; the corner test is symmetric in right and up, so they are
-    also the corners of the transposed pair (up, right).
+    :func:`_up` and :func:`_cut_corners`.  Rows are numbered up from the
+    bottom of each cylinder, the wide one's first, and ``right`` steps
+    right, wrapping at the row's end.  Only the top rows' landings depend
+    on the twists, so ``right`` is the tuple that every layout of the shape
+    shares (:func:`_shape`), and ``up`` a fresh list of the shape's rows
+    with each top row read as one slice of its doubled landings (three
+    slices for the one cylinder's three arcs).  The corners are not
+    scanned: :func:`_cut_corners` gives them in closed form, and they are
+    the squares :func:`_corners` would find, as the census sweep checks on
+    every layout it makes.  The corner test is symmetric in right and up,
+    so they are also the corners of the transposed pair (up, right).
     """
     if isinstance(diag, OneCylinder):
         l1, l2, l3, _, h = diag
-        w = l1 + l2 + l3
-        n = w * h
-        corners = [n - 1, n - w + l1 - 1, n - w + l1 + l2 - 1]
-        shape = _shape(w, h)
+        shape = _shape(l1 + l2 + l3, h)
     else:
-        h1, h2, w1, w2, t1, t2 = diag
-        top2, top1 = h2 * w2 - w2, h2 * w2 + h1 * w1 - w1  # the top rows' first squares
-        corners = [top2 + (t2 - 1) % w2, top2 + (t2 + w1 - 1) % w2, top1 + (t1 - 1) % w1]
+        h1, h2, w1, w2, _, _ = diag
         shape = _shape(h1, h2, w1, w2)
-    return shape[0], _up(shape, diag), corners
+    return shape[0], _up(shape, diag), _cut_corners(diag)
 
 
 def build_l_shape(a: int, b: int) -> Origami:

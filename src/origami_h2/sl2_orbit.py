@@ -40,6 +40,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
+from operator import ne
 from typing import NamedTuple
 
 from .origami_core import (
@@ -347,8 +348,8 @@ def orbit(o: Origami) -> Orbit:
     mirrors.  Each H(2) orbit is ρ-invariant (n and the integer Weierstrass
     count, both ρ-invariant, tell the orbits apart: Hubert–Lelièvre), but
     the closure does not trust the mirror: a mirror cusp it never reaches,
-    or mirrors that do not commute with S, raise RuntimeError.  No
-    canonical key is computed.
+    or mirrors that do not commute with S (compared in one pass, building
+    no list), raise RuntimeError.  No canonical key is computed.
     """
     start = cylinder_decomposition(o)
     if lattice_index(start) != 1:
@@ -424,7 +425,7 @@ def orbit(o: Origami) -> Orbit:
             a = ta
     if 0 in closed:
         raise RuntimeError(f"the mirror of the orbit of {start} is another orbit")
-    if list(map(s_perm.__getitem__, r_perm)) != list(map(r_perm.__getitem__, s_perm)):
+    if any(map(ne, map(s_perm.__getitem__, r_perm), map(r_perm.__getitem__, s_perm))):
         raise RuntimeError(f"the mirror does not commute with S on the orbit of {start}")
     return Orbit(o.n, starts, ks, bases, t_perm, s_perm)
 

@@ -148,41 +148,88 @@ class TestCrossCheck:
 
 
 class TestCornerScans:
-    def test_one_corner_scan_per_candidate(self, monkeypatch):
-        # the H(2) check and the decomposition share one scan
-        calls = []
-        real = origami_core._corners
+    @staticmethod
+    def count_checks(monkeypatch):
+        # each candidate's closed-form corners are compared with its
+        # commutator and handed to one decomposition; no square is scanned
+        calls = {"_cut_corners": [], "_decompose": []}
+        for name, seen in calls.items():
+            def counting(*args, real=getattr(enumeration, name), seen=seen):
+                seen.append(args)
+                return real(*args)
 
-        def counting(r, u):
-            calls.append(len(r))
-            return real(r, u)
+            monkeypatch.setattr(enumeration, name, counting)
+
+        def no_scan(r, u):
+            raise RuntimeError("the sweep scanned for corners")
 
         for module in (origami_core, enumeration):
-            monkeypatch.setattr(module, "_corners", counting)
+            monkeypatch.setattr(module, "_corners", no_scan)
+        return calls
+
+    def test_one_corner_scan_per_candidate(self, monkeypatch):
+        # the H(2) check and the decomposition share one set of corners
+        calls = self.count_checks(monkeypatch)
         diagrams = enumerate_diagrams(13)
         # two-cylinder tuples and least one-cylinder readings are distinct surfaces
-        assert len(calls) == len(diagrams) == formula_total(13)
+        assert len(calls["_cut_corners"]) == len(calls["_decompose"]) == len(diagrams) == formula_total(13)
 
     def test_counting_builds_no_key(self, monkeypatch):
-        calls = []
-        real = origami_core._corners
-
-        def counting(r, u):
-            calls.append(len(r))
-            return real(r, u)
+        calls = self.count_checks(monkeypatch)
 
         def no_key(o):
             raise RuntimeError("counting built a canonical key")
 
-        for module in (origami_core, enumeration):
-            monkeypatch.setattr(module, "_corners", counting)
         for module in (origami_core, sl2_orbit, congruence, enumeration, origami_h2):
             if getattr(module, "canonical_key", None) is canonical_key:
                 monkeypatch.setattr(module, "canonical_key", no_key)
-        assert len(enumerate_diagrams(13)) == formula_total(13) == len(calls)
-        calls.clear()
+        assert len(enumerate_diagrams(13)) == formula_total(13) == len(calls["_cut_corners"])
+        assert len(calls["_decompose"]) == formula_total(13)
+        for seen in calls.values():
+            seen.clear()
         assert all(rep.match for rep in verify_counts(3, 15))
-        assert len(calls) == sum(formula_total(n) for n in range(3, 16))
+        total = sum(formula_total(n) for n in range(3, 16))
+        assert len(calls["_cut_corners"]) == len(calls["_decompose"]) == total
+
+    def test_extra_corners_are_counted(self, monkeypatch):
+        # one twist of one family laid out with two up-images swapped: the
+        # commutator moves five squares, and the message counts them
+        real = enumeration._up
+
+        def wrong(shape, c):
+            u = real(shape, c)
+            if c == (1, 1, 2, 5, 1, 3):
+                u[0], u[1] = u[1], u[0]
+            return u
+
+        monkeypatch.setattr(enumeration, "_up", wrong)
+        with pytest.raises(AssertionError, match=r"^\(1, 1, 2, 5, 1, 3\) builds a surface with 5 corners$"):
+            enumerate_diagrams(7)
+
+    def test_a_corner_on_the_wrong_square_is_caught(self, monkeypatch):
+        # 2cyl(2,1,2,3,0,0) has its corners at squares 1, 2 and 6.  With 0 in
+        # place of 1 the decomposition still reads the candidate back, so a
+        # sweep that trusted the closed form would count it; the commutator
+        # comparison does not
+        c, moved = (2, 1, 2, 3, 0, 0), [2, 0, 6]
+        shape = origami_core._shape(*c[:4])
+        rows = origami_core._row_index(shape[0], range(7))
+        assert origami_core._decompose(shape[0], origami_core._up(shape, c), moved, rows) == c
+        real = enumeration._cut_corners
+        monkeypatch.setattr(enumeration, "_cut_corners", lambda d: list(moved) if d == c else real(d))
+        with pytest.raises(AssertionError, match=r"^\(2, 1, 2, 3, 0, 0\) has its corners at \[1, 2, 6\], not at \[0, 2, 6\]$"):
+            enumerate_diagrams(7)
+
+    def test_squares_must_fit_in_bytes(self, monkeypatch):
+        # the limit is checked before any family is laid out
+        def no_family(n):
+            raise RuntimeError("the sweep laid out a family")
+
+        monkeypatch.setattr(enumeration, "_candidates", no_family)
+        with pytest.raises(ValueError, match="n = 257 exceeds 256"):
+            next(enumeration._sweep(257))
+        monkeypatch.setattr(enumeration, "_candidates", lambda n: iter(()))
+        assert list(enumeration._sweep(256)) == []
 
     def test_counting_builds_no_surface(self, monkeypatch):
         # the sweep checks the laid-out permutations; no Origami is made

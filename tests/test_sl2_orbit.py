@@ -533,7 +533,9 @@ class TestOrbits:
 
     def test_closure_memory_budget(self):
         # B61's 40 455 positions: the closure's lists (t_perm, s_perm, r_perm,
-        # closed) and its cusp table, traced once the per-shape layout memo is warm
+        # closed) and its cusp table, traced once the per-shape layout memo is
+        # warm.  The mirror-commute check compares S∘ρ with ρ∘S in one pass:
+        # listing both sides first lifts the peak from 3.73 to 4.35 MiB
         o = seed_surface("B", 61)
         orbit(o)
         tracemalloc.start()
@@ -542,7 +544,7 @@ class TestOrbits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.2 * 2**20
+        assert peak < 4.0 * 2**20
 
 
 def all_turns_perms(orb, o) -> tuple:
